@@ -67,9 +67,10 @@ for t_probe in (1.0, 2.5, 3.5, 5.5):
 
 print()
 print("=== evaluation against the motion tracker ===")
-reports = evaluate_run(run.sensors, trace)
+reports = evaluate_run(trace)
 print(reports_to_table(reports))
-print("(voting fusion returns a binary stream, so it has no RMSE)")
+print("(voting fusion returns a binary stream, so it has no RMSE;")
+print(" a source that never overlaps the truth would show as 'insufficient')")
 
 n_unknown = sum(d is Decision.UNKNOWN for d in trace.decision_vote)
 print(f"voting fusion abstained entirely on {n_unknown} grid points (no sensor voting)")

@@ -11,11 +11,9 @@ is verifiable without hardware.
 from .config import RunConfig, load_run_config, run_config_from_dict
 from .danger import (
     DangerParams,
-    DangerSample,
     Decision,
     accel_transform,
     danger_series,
-    danger_track,
     danger_value,
     decide,
     decisions_from_series,
@@ -29,9 +27,7 @@ from .fusion import (
     FusionTrace,
     SensorSet,
     fuse_all,
-    fuse_danger_values,
     fuse_distances,
-    fuse_votes,
     sensor_set_from_streams,
 )
 from .kinematics import (

@@ -16,9 +16,8 @@ from pathlib import Path
 
 from . import io as crio
 from .config import RunConfig, load_run_config
-from .danger import danger_series, decisions_from_series
 from .fusion import fuse_all, sensor_set_from_streams
-from .metrics import EVALUATION_SOURCES, InsufficientDataError, evaluate_source
+from .metrics import EVALUATION_SOURCES, evaluate_run
 from .simulate import generate_run, load_scenario
 from .timeseries import EmptyOverlapError
 
@@ -84,9 +83,8 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _ingest(path: str, config: RunConfig):
-    streams = crio.read_sensor_csv(path)
-    return streams, sensor_set_from_streams(
-        streams,
+    return sensor_set_from_streams(
+        crio.read_sensor_csv(path),
         resample_hz=config.resample_hz,
         smooth_window_rsu=config.smooth_window_rsu,
         smooth_window_camera=config.smooth_window_camera,
@@ -96,7 +94,7 @@ def _ingest(path: str, config: RunConfig):
 
 
 def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
-    _, sensors = _ingest(args.input, config)
+    sensors = _ingest(args.input, config)
     grid = sensors.grid
     print(f"grid: start={grid.start:.6f} s, rate={grid.rate_hz:g} Hz, points={grid.count}")
     for sensor_id, track in sensors.tracks.items():
@@ -117,7 +115,7 @@ def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _fuse_one(path: str, output: Path, config: RunConfig) -> None:
-    streams, sensors = _ingest(path, config)
+    sensors = _ingest(path, config)
     if sensors.tracker() is None:
         print(
             f"warning: {path}: no tracker column; evaluation disabled for this trace",
@@ -126,11 +124,7 @@ def _fuse_one(path: str, output: Path, config: RunConfig) -> None:
     trace = fuse_all(
         sensors, config.danger, derivative_smooth_window=config.smooth_window_derivative
     )
-    sensor_g = {
-        sensor_id: danger_series(track, config.danger)
-        for sensor_id, track in sensors.tracks.items()
-    }
-    crio.write_fused_csv(output, trace, sensor_g)
+    crio.write_fused_csv(output, trace, trace.sensor_g)
 
 
 def cmd_fuse(args: argparse.Namespace, config: RunConfig) -> int:
@@ -139,8 +133,17 @@ def cmd_fuse(args: argparse.Namespace, config: RunConfig) -> int:
         return USAGE_ERROR
     out = Path(args.output)
     if len(args.inputs) > 1:
+        stems = [Path(p).stem for p in args.inputs]
+        clashing = [p for p, stem in zip(args.inputs, stems) if stems.count(stem) > 1]
+        if clashing:
+            print(
+                f"error: inputs {', '.join(clashing)} share a file stem, so their "
+                f"fused traces in {out} would overwrite each other",
+                file=sys.stderr,
+            )
+            return USAGE_ERROR
         out.mkdir(parents=True, exist_ok=True)
-        targets = [out / f"{Path(p).stem}_fused.csv" for p in args.inputs]
+        targets = [out / f"{stem}_fused.csv" for stem in stems]
     else:
         targets = [out]
     with ThreadPoolExecutor(max_workers=args.parallel_runs) as pool:
@@ -154,36 +157,13 @@ def cmd_fuse(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _evaluate_one(path: str, config: RunConfig) -> dict:
-    _, sensors = _ingest(path, config)
-    tracker = sensors.tracker()
-    if tracker is None:
+    sensors = _ingest(path, config)
+    if sensors.tracker() is None:
         raise crio.SensorCsvError(f"{path}: no tracker column, cannot evaluate")
     trace = fuse_all(
         sensors, config.danger, derivative_smooth_window=config.smooth_window_derivative
     )
-    truth_g = danger_series(tracker, config.danger)
-    truth_decisions = decisions_from_series(truth_g, config.danger)
-
-    candidates = {}
-    for sensor_id, track in sensors.fusable().items():
-        g = danger_series(track, config.danger)
-        candidates[sensor_id] = (g, decisions_from_series(g, config.danger))
-    candidates["distance_fusion"] = (trace.g_distance_fusion, trace.decision_distance)
-    candidates["danger_fusion"] = (trace.g_danger_fusion, trace.decision_danger)
-    candidates["voting_fusion"] = (None, trace.decision_vote)
-
-    reports = {}
-    for source in EVALUATION_SOURCES:
-        if source not in candidates:
-            continue
-        g, decisions = candidates[source]
-        try:
-            reports[source] = evaluate_source(
-                g, decisions, truth_g, truth_decisions, config.unknown_as_safe
-            )
-        except InsufficientDataError:
-            reports[source] = None
-    return reports
+    return evaluate_run(trace, config.danger, config.unknown_as_safe)
 
 
 def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
@@ -248,7 +228,6 @@ def main(argv: list[str] | None = None) -> int:
         IsADirectoryError,
         crio.SensorCsvError,
         EmptyOverlapError,
-        InsufficientDataError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .danger import DangerParams
+from .danger import DangerParams, _require_finite
 from .kinematics import CrossingModel
 
 
@@ -33,6 +33,7 @@ class RunConfig:
     )
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("resample_hz", "max_gap_s"))
         if self.resample_hz <= 0:
             raise ValueError("resample_hz must be positive")
         for name in ("smooth_window_rsu", "smooth_window_camera", "smooth_window_derivative"):
@@ -75,8 +76,3 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ValueError(f"{path}: config file must contain a JSON object")
     return run_config_from_dict(data)
 
-
-def run_config_to_dict(config: RunConfig) -> dict[str, Any]:
-    """Inverse of :func:`run_config_from_dict`, e.g. for writing templates."""
-    out = dataclasses.asdict(config)
-    return out

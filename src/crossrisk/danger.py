@@ -8,7 +8,10 @@ score into a go/no-go decision; instants without data stay ``UNKNOWN``.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,34 @@ class Decision(enum.Enum):
 
     def __str__(self) -> str:  # CSV/report label
         return self.value
+
+
+# The one int-code -> Decision table used by threshold decisions and votes.
+_SAFE, _DANGEROUS, _UNKNOWN = 0, 1, 2
+_DECISIONS = np.array([Decision.SAFE, Decision.DANGEROUS, Decision.UNKNOWN], dtype=object)
+
+
+def _decision_codes(g: np.ndarray, threshold: float) -> np.ndarray:
+    """Threshold scores into codes: strictly above is DANGEROUS, NaN is UNKNOWN."""
+    return np.where(np.isnan(g), _UNKNOWN, g > threshold)
+
+
+def _as_decisions(codes: np.ndarray) -> tuple[Decision, ...]:
+    return tuple(_DECISIONS[codes].tolist())
+
+
+def _as_codes(decisions) -> np.ndarray:
+    """Inverse of :func:`_as_decisions` for a sequence of :class:`Decision`."""
+    labels = np.array(decisions, dtype=object)
+    return np.where(labels == Decision.UNKNOWN, _UNKNOWN, labels == Decision.DANGEROUS)
+
+
+def _require_finite(record, names) -> None:
+    """Reject a NaN, infinite or non-numeric field of a config record by name."""
+    for name in names:
+        value = getattr(record, name)
+        if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +79,7 @@ class DangerParams:
     denominator_floor: float = 1e-3
 
     def __post_init__(self) -> None:
+        _require_finite(self, [f.name for f in dataclasses.fields(self)])
         if self.accel_weight < 0:
             raise ValueError("accel_weight must be non-negative")
         if self.distance_offset <= 0:
@@ -58,15 +90,6 @@ class DangerParams:
             raise ValueError("require 0 <= accel_deadband < accel_saturation")
         if self.denominator_floor <= 0:
             raise ValueError("denominator_floor must be positive")
-
-
-@dataclass(frozen=True)
-class DangerSample:
-    """Danger score and decision at one instant; ``g`` is None when inputs are missing."""
-
-    timestamp: float
-    g: float | None
-    decision: Decision
 
 
 def speed_transform(closing_speed, params: DangerParams = DangerParams()):
@@ -128,13 +151,7 @@ def danger_value(
     positive constant, so the score blows up (rather than flipping sign)
     when the obstacle is almost touching.
     """
-    if distance < 0:
-        raise ValueError("distance must be non-negative")
-    return float(
-        _danger_values(
-            np.asarray(distance), np.asarray(closing_speed), np.asarray(acceleration), params
-        )
-    )
+    return float(_danger_values(distance, closing_speed, acceleration, params))
 
 
 def decide(g: float | None, params: DangerParams = DangerParams()) -> Decision:
@@ -156,25 +173,4 @@ def decisions_from_series(
     series: TimeSeries, params: DangerParams = DangerParams()
 ) -> tuple[Decision, ...]:
     """Threshold a score series into a per-instant decision stream."""
-    g = series.values
-    out = np.where(g > params.threshold, Decision.DANGEROUS, Decision.SAFE)
-    out = np.where(np.isnan(g), Decision.UNKNOWN, out)
-    return tuple(out.tolist())
-
-
-def danger_track(
-    track: KinematicTrack, params: DangerParams = DangerParams()
-) -> list[DangerSample]:
-    """Score and classify every grid point of a kinematic track."""
-    series = danger_series(track, params)
-    decisions = decisions_from_series(series, params)
-    out = []
-    for t, g, decision in zip(track.grid.times(), series.values, decisions):
-        out.append(
-            DangerSample(
-                timestamp=float(t),
-                g=None if np.isnan(g) else float(g),
-                decision=decision,
-            )
-        )
-    return out
+    return _as_decisions(_decision_codes(series.values, params.threshold))

@@ -18,7 +18,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .danger import DangerParams, Decision, danger_series, decisions_from_series
+from .danger import (
+    _DANGEROUS,
+    _UNKNOWN,
+    DangerParams,
+    Decision,
+    _as_decisions,
+    _decision_codes,
+    danger_series,
+    decisions_from_series,
+)
 from .kinematics import KinematicTrack, differentiate
 from .timeseries import TimeSeries, UniformGrid, align, smooth_trailing
 
@@ -55,7 +64,11 @@ class SensorSet:
 
 @dataclass(frozen=True)
 class FusionTrace:
-    """Per-grid-point outputs of all three fusion architectures."""
+    """Per-grid-point outputs of all three fusion architectures.
+
+    ``sensor_g`` holds the danger-score series of every track in the
+    sensor set, tracker included, as scored once by :func:`fuse_all`.
+    """
 
     grid: UniformGrid
     available_count: np.ndarray
@@ -67,6 +80,7 @@ class FusionTrace:
     decision_vote: tuple[Decision, ...]
     dangerous_votes: np.ndarray
     votes_cast: np.ndarray
+    sensor_g: Mapping[str, TimeSeries]
 
 
 def sensor_set_from_streams(
@@ -118,58 +132,11 @@ def _available_mean(stacked: np.ndarray) -> np.ndarray:
 
 def fuse_distances(sensors: SensorSet) -> TimeSeries:
     """Average the available sensors' distances at each instant."""
-    tracks = sensors.fusable()
+    tracks = list(sensors.fusable().values())
     if not tracks:
         raise ValueError("no fusable sensors")
-    stacked = np.vstack([t.distance.values for t in tracks.values()])
-    return TimeSeries(sensors.grid.times(), _available_mean(stacked))
-
-
-def _stacked_danger(sensors: SensorSet, params: DangerParams) -> np.ndarray:
-    tracks = sensors.fusable()
-    if not tracks:
-        raise ValueError("no fusable sensors")
-    return np.vstack([danger_series(t, params).values for t in tracks.values()])
-
-
-def fuse_danger_values(
-    sensors: SensorSet, params: DangerParams = DangerParams()
-) -> TimeSeries:
-    """Score each sensor separately, then average the available scores."""
-    stacked = _stacked_danger(sensors, params)
-    return TimeSeries(sensors.grid.times(), _available_mean(stacked))
-
-
-def _votes_from_stacked(
-    stacked: np.ndarray, params: DangerParams
-) -> tuple[np.ndarray, np.ndarray]:
-    cast = (~np.isnan(stacked)).sum(axis=0)
-    dangerous = (stacked > params.threshold).sum(axis=0)
-    return dangerous, cast
-
-
-def _majority(dangerous: np.ndarray, cast: np.ndarray) -> tuple[Decision, ...]:
-    out = []
-    for n_danger, n_cast in zip(dangerous, cast):
-        if n_cast == 0:
-            out.append(Decision.UNKNOWN)
-        elif 2 * n_danger >= n_cast:
-            out.append(Decision.DANGEROUS)
-        else:
-            out.append(Decision.SAFE)
-    return tuple(out)
-
-
-def fuse_votes(
-    sensors: SensorSet, params: DangerParams = DangerParams()
-) -> tuple[Decision, ...]:
-    """Majority vote of per-sensor threshold decisions.
-
-    Sensors without a score abstain; a tie between DANGEROUS and SAFE
-    resolves to DANGEROUS; with no votes at all the instant is UNKNOWN.
-    """
-    dangerous, cast = _votes_from_stacked(_stacked_danger(sensors, params), params)
-    return _majority(dangerous, cast)
+    stacked = np.vstack([t.distance.values for t in tracks])
+    return tracks[0].distance.with_values(_available_mean(stacked))
 
 
 def fuse_all(
@@ -187,15 +154,18 @@ def fuse_all(
     distance_fused = fuse_distances(sensors)
     fused_track = differentiate(distance_fused, grid, smooth_window=derivative_smooth_window)
     g_distance = danger_series(fused_track, params)
-    stacked_g = _stacked_danger(sensors, params)
-    g_danger = TimeSeries(grid.times(), _available_mean(stacked_g))
-    dangerous, cast = _votes_from_stacked(stacked_g, params)
+    sensor_g = {s: danger_series(t, params) for s, t in sensors.tracks.items()}
+    fusable = sensors.fusable()
+    stacked_g = np.vstack([sensor_g[s].values for s in fusable])
+    g_danger = distance_fused.with_values(_available_mean(stacked_g))
 
-    stacked_presence = np.vstack(
-        [t.distance.values for t in sensors.fusable().values()]
-    )
-    available_count = (~np.isnan(stacked_presence)).sum(axis=0)
+    # each sensor votes its threshold decision; UNKNOWN abstains, ties go DANGEROUS
+    codes = _decision_codes(stacked_g, params.threshold)
+    dangerous = (codes == _DANGEROUS).sum(axis=0)
+    cast = (codes != _UNKNOWN).sum(axis=0)
+    vote = np.where(cast == 0, _UNKNOWN, 2 * dangerous >= cast)
 
+    available_count = np.sum([t.distance.present for t in fusable.values()], axis=0)
     return FusionTrace(
         grid=grid,
         available_count=available_count,
@@ -204,7 +174,8 @@ def fuse_all(
         g_danger_fusion=g_danger,
         decision_distance=decisions_from_series(g_distance, params),
         decision_danger=decisions_from_series(g_danger, params),
-        decision_vote=_majority(dangerous, cast),
+        decision_vote=_as_decisions(vote),
         dangerous_votes=dangerous,
         votes_cast=cast,
+        sensor_g=sensor_g,
     )

@@ -9,12 +9,20 @@ either side is UNKNOWN.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .danger import DangerParams, Decision, danger_series, decisions_from_series
-from .fusion import CAMERA_AW, CAMERA_DRONE, RSU, FusionTrace, SensorSet
+from .danger import (
+    _DANGEROUS,
+    _SAFE,
+    _UNKNOWN,
+    DangerParams,
+    Decision,
+    _as_codes,
+    decisions_from_series,
+)
+from .fusion import CAMERA_AW, CAMERA_DRONE, RSU, TRACKER, FusionTrace
 from .timeseries import TimeSeries
 
 DISTANCE_FUSION = "distance_fusion"
@@ -83,27 +91,15 @@ def classification_report(
     """
     if len(predicted) != len(truth):
         raise ValueError("decision streams must have equal length")
-    tp = fp = tn = fn = excluded = 0
-    for p, t in zip(predicted, truth):
-        if t is Decision.UNKNOWN:
-            excluded += 1
-            continue
-        if p is Decision.UNKNOWN:
-            if not unknown_as_safe:
-                excluded += 1
-                continue
-            p = Decision.SAFE
-        if t is Decision.DANGEROUS:
-            if p is Decision.DANGEROUS:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if p is Decision.DANGEROUS:
-                fp += 1
-            else:
-                tn += 1
+    # counts[t, p]: instants with truth code t and predicted code p
+    counts = np.bincount(3 * _as_codes(truth) + _as_codes(predicted), minlength=9).reshape(3, 3)
+    if unknown_as_safe:
+        counts[:, _SAFE] += counts[:, _UNKNOWN]
+        counts[:, _UNKNOWN] = 0
+    tp, fn = int(counts[_DANGEROUS, _DANGEROUS]), int(counts[_DANGEROUS, _SAFE])
+    fp, tn = int(counts[_SAFE, _DANGEROUS]), int(counts[_SAFE, _SAFE])
     evaluated = tp + fp + tn + fn
+    excluded = len(truth) - evaluated
     if evaluated == 0:
         raise InsufficientDataError("no jointly classified points")
     precision_defaulted = (tp + fp) == 0
@@ -139,49 +135,40 @@ def evaluate_source(
 
 
 def evaluate_run(
-    sensors: SensorSet,
     trace: FusionTrace,
     params: DangerParams = DangerParams(),
     unknown_as_safe: bool = False,
-) -> Mapping[str, EvaluationReport]:
+) -> dict[str, EvaluationReport | None]:
     """Evaluate every sensor and fusion architecture against the tracker.
+
+    Reads the per-sensor scores :func:`fuse_all` stored in the trace and
+    thresholds them with ``params``, which should be the parameters the
+    trace was fused with.  A source with no jointly classified instant
+    (e.g. a camera that never detected the obstacle) maps to ``None``
+    instead of a report.
 
     Raises
     ------
     ValueError
-        If the sensor set carries no tracker track.
-    InsufficientDataError
-        Propagated when any source never overlaps the truth; callers
-        needing per-source isolation should evaluate sources one by one
-        via :func:`evaluate_source`.
+        If the trace carries no tracker scores.
     """
-    tracker = sensors.tracker()
-    if tracker is None:
-        raise ValueError("sensor set has no tracker track to evaluate against")
-    truth_g = danger_series(tracker, params)
-    truth_decisions = decisions_from_series(truth_g, params)
+    truth_g = trace.sensor_g.get(TRACKER)
+    if truth_g is None:
+        raise ValueError("trace has no tracker scores to evaluate against")
+    truth = decisions_from_series(truth_g, params)
+    candidates = {
+        source: (g, decisions_from_series(g, params))
+        for source, g in trace.sensor_g.items()
+        if source != TRACKER
+    }
+    candidates[DISTANCE_FUSION] = (trace.g_distance_fusion, trace.decision_distance)
+    candidates[DANGER_FUSION] = (trace.g_danger_fusion, trace.decision_danger)
+    candidates[VOTING_FUSION] = (None, trace.decision_vote)
 
-    reports: dict[str, EvaluationReport] = {}
-    for sensor_id, track in sensors.fusable().items():
-        g = danger_series(track, params)
-        reports[sensor_id] = evaluate_source(
-            g, decisions_from_series(g, params), truth_g, truth_decisions, unknown_as_safe
-        )
-    reports[DISTANCE_FUSION] = evaluate_source(
-        trace.g_distance_fusion,
-        trace.decision_distance,
-        truth_g,
-        truth_decisions,
-        unknown_as_safe,
-    )
-    reports[DANGER_FUSION] = evaluate_source(
-        trace.g_danger_fusion,
-        trace.decision_danger,
-        truth_g,
-        truth_decisions,
-        unknown_as_safe,
-    )
-    reports[VOTING_FUSION] = evaluate_source(
-        None, trace.decision_vote, truth_g, truth_decisions, unknown_as_safe
-    )
+    reports: dict[str, EvaluationReport | None] = {}
+    for source, (g, decisions) in candidates.items():
+        try:
+            reports[source] = evaluate_source(g, decisions, truth_g, truth, unknown_as_safe)
+        except InsufficientDataError:
+            reports[source] = None
     return reports

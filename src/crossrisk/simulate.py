@@ -198,27 +198,26 @@ def generate_truth(config: ScenarioConfig) -> KinematicTrack:
     )
 
 
-def bbox_width_px(
-    distance: float, model: CameraSensorModel, rng: np.random.Generator | None = None
-) -> float:
+def bbox_width_px(distance, model: CameraSensorModel):
     """Apparent bounding-box width of the obstacle at a given distance.
 
-    Pinhole relation ``width = focal * object_width / distance``, plus
-    Gaussian pixel noise when an ``rng`` is supplied.
+    Pinhole relation ``width = focal * object_width / distance``; accepts
+    scalars or arrays.
     """
-    if distance <= 0:
+    d = np.asarray(distance, dtype=float)
+    if np.any(d <= 0):
         raise ValueError("distance must be positive")
-    width = model.focal_px * model.object_width_m / distance
-    if rng is not None and model.pixel_noise_sigma > 0:
-        width += rng.normal(0.0, model.pixel_noise_sigma)
-    return float(width)
+    width = model.focal_px * model.object_width_m / d
+    return float(width) if np.isscalar(distance) else width
 
 
-def distance_from_bbox(width_px: float, model: CameraSensorModel) -> float:
+def distance_from_bbox(width_px, model: CameraSensorModel):
     """Distance recovered from a bounding-box width; inverse of :func:`bbox_width_px`."""
-    if width_px <= 0:
+    w = np.asarray(width_px, dtype=float)
+    if np.any(w <= 0):
         raise ValueError("width_px must be positive")
-    return float(model.focal_px * model.object_width_m / width_px)
+    distance = model.focal_px * model.object_width_m / w
+    return float(distance) if np.isscalar(width_px) else distance
 
 
 def sample_sensor(
@@ -248,13 +247,13 @@ def sample_sensor(
 
     detected = (true_d > 0.0) & (true_d <= model.detection_range)
     widths = np.full(times.size, np.nan)
-    widths[detected] = model.focal_px * model.object_width_m / true_d[detected]
+    widths[detected] = bbox_width_px(true_d[detected], model)
     if model.pixel_noise_sigma > 0:
         widths += rng.normal(0.0, model.pixel_noise_sigma, times.size)
     values = np.full(times.size, np.nan)
     with np.errstate(invalid="ignore"):
         measurable = detected & (widths > 0.0)
-    values[measurable] = model.focal_px * model.object_width_m / widths[measurable]
+    values[measurable] = distance_from_bbox(widths[measurable], model)
     return TimeSeries(times, values)
 
 

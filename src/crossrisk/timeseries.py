@@ -23,6 +23,9 @@ class EmptyOverlapError(ValueError):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` as read-only float64, shared if it already is one and owns its data."""
+    if isinstance(a, np.ndarray) and a.dtype == float and a.flags.owndata and not a.flags.writeable:
+        return a
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
@@ -180,6 +183,7 @@ def resample(series: TimeSeries, grid: UniformGrid, max_gap: float = 0.5) -> Tim
             f"grid [{grid.start}, {grid.end}] does not overlap series span [{t0}, {t1}]"
         )
     target = grid.times()
+    target.setflags(write=False)  # shared, not copied, by the output series
     out = np.full(grid.count, np.nan)
     present = series.present
     tp = series.times[present]

@@ -3,13 +3,24 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from crossrisk import RunConfig, ScenarioConfig, generate_run, run_config_from_dict
+from crossrisk import (
+    RunConfig,
+    ScenarioConfig,
+    danger_series,
+    evaluate_run,
+    fuse_all,
+    generate_run,
+    run_config_from_dict,
+    sensor_set_from_streams,
+)
 from crossrisk.cli import main
-from crossrisk.io import SensorCsvError, read_sensor_csv, write_sensor_csv
+from crossrisk.io import SensorCsvError, read_sensor_csv, report_to_dict, write_sensor_csv
+from crossrisk.metrics import EVALUATION_SOURCES
 
 SCENARIO = {
     "duration": 6.0,
@@ -275,3 +286,64 @@ class TestCliCommands:
         fused = tmp_path / "fused.csv"
         assert main(["fuse", str(sensors_csv), str(fused)]) == 0
         assert fused.stat().st_size > 0
+
+    @pytest.mark.parametrize(
+        "flags, config, field",
+        [
+            (["--threshold", "nan"], None, "threshold"),
+            (["--threshold", "inf"], None, "threshold"),
+            (["--resample-hz", "inf"], None, "resample_hz"),
+            (["--resample-hz", "nan"], None, "resample_hz"),
+            ([], {"danger": {"accel_weight": math.nan}}, "accel_weight"),
+            ([], {"danger": {"distance_offset": math.nan}}, "distance_offset"),
+            ([], {"max_gap_s": math.nan}, "max_gap_s"),
+        ],
+    )
+    def test_non_finite_config_is_data_error(
+        self, tmp_path, sensors_csv, capsys, flags, config, field
+    ):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))  # writes the JSON literal NaN
+            flags = ["--config", str(path)]
+        assert main([*flags, "evaluate", str(sensors_csv)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be a finite number" in err
+
+    def test_fuse_output_name_clash_is_usage_error(self, tmp_path, sensors_csv, capsys):
+        inputs = [tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv"]
+        for path in inputs:
+            path.parent.mkdir()
+            path.write_bytes(sensors_csv.read_bytes())
+        out_dir = tmp_path / "out"
+        assert main(["fuse", *map(str, inputs), str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert str(inputs[0]) in err and str(inputs[1]) in err
+        assert not out_dir.exists()
+
+    def test_source_that_never_detects_is_insufficient(self, tmp_path, capsys):
+        scenario = tmp_path / "blind.json"
+        scenario.write_text(
+            json.dumps({**SCENARIO, "sensors": {"camera_aw": {"detection_range": 0.01}}})
+        )
+        recording = tmp_path / "blind.csv"
+        assert main(["simulate", str(scenario), str(recording)]) == 0
+
+        sensors = sensor_set_from_streams(read_sensor_csv(recording))
+        trace = fuse_all(sensors)
+        for sensor_id, track in sensors.tracks.items():
+            np.testing.assert_array_equal(
+                trace.sensor_g[sensor_id].values, danger_series(track).values
+            )
+        reports = evaluate_run(trace)
+        assert reports["camera_aw"] is None
+        assert all(reports[s] is not None for s in EVALUATION_SOURCES if s != "camera_aw")
+
+        assert main(["evaluate", str(recording)]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert "insufficient" in next(line for line in table if line.startswith("AW camera"))
+
+        assert main(["evaluate", "--json", str(recording)]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert rows[1] == {"source": "camera_aw", "error": "insufficient data"}
+        assert rows == [report_to_dict(s, reports[s]) for s in EVALUATION_SOURCES]

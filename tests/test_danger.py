@@ -14,9 +14,10 @@ from crossrisk import (
     TimeSeries,
     UniformGrid,
     accel_transform,
-    danger_track,
+    danger_series,
     danger_value,
     decide,
+    decisions_from_series,
     speed_transform,
 )
 
@@ -153,33 +154,40 @@ class TestDecide:
 
 
 class TestDangerTrack:
+    """Scoring and classifying every grid point of a kinematic track."""
+
     def test_stationary_obstacle_all_safe(self):
         track = track_from_distances(np.full(20, 3.0), smooth_window=1)
-        samples = danger_track(track)
-        defined = [s for s in samples if s.g is not None]
-        assert defined and all(s.g == 0.0 for s in defined)
-        assert all(s.decision is Decision.SAFE for s in defined)
+        g = danger_series(track)
+        decisions = decisions_from_series(g)
+        defined = ~np.isnan(g.values)
+        assert defined.any() and np.all(g.values[defined] == 0.0)
+        assert all(d is Decision.SAFE for d, ok in zip(decisions, defined) if ok)
 
     def test_missing_segment_unknown(self):
         values = np.linspace(3.0, 2.0, 30)
         values[10:20] = np.nan
         track = track_from_distances(values, smooth_window=1)
-        samples = danger_track(track)
-        assert all(s.decision is Decision.UNKNOWN for s in samples[10:20])
+        decisions = decisions_from_series(danger_series(track))
+        assert all(d is Decision.UNKNOWN for d in decisions[10:20])
 
     def test_matches_pointwise_evaluation(self):
         rate = 50.0
         t = np.arange(100) / rate
         track = track_from_distances(4.0 - 0.8 * t, rate, smooth_window=1)
-        samples = danger_track(track)
-        for i, sample in enumerate(samples):
+        series = danger_series(track)
+        g = series.values
+        decisions = decisions_from_series(series)
+        for i in range(track.grid.count):
             d = track.distance.values[i]
             v = track.speed.values[i]
             a = track.acceleration.values[i]
             if np.isnan(v) or np.isnan(a):
-                assert sample.g is None
+                assert np.isnan(g[i]) and decisions[i] is Decision.UNKNOWN
             else:
-                assert sample.g == pytest.approx(danger_value(d, v, a), abs=1e-12)
+                expected = danger_value(d, v, a)
+                assert g[i] == pytest.approx(expected, abs=1e-12)
+                assert decisions[i] is decide(expected)
 
     def test_decisions_invariant_under_time_reparameterization(self):
         # scoring is memoryless in (d, v, a): carrying the same kinematic
@@ -187,7 +195,7 @@ class TestDangerTrack:
         rate = 20.0
         values = 4.0 - 0.8 * np.arange(60) / rate
         track = track_from_distances(values, rate, smooth_window=1)
-        baseline = [s.decision for s in danger_track(track)]
+        baseline = decisions_from_series(danger_series(track))
 
         warped_grid = UniformGrid(start=5.0, rate_hz=3.0, count=60)
         warped_times = warped_grid.times()
@@ -197,4 +205,4 @@ class TestDangerTrack:
             TimeSeries(warped_times, track.speed.values),
             TimeSeries(warped_times, track.acceleration.values),
         )
-        assert [s.decision for s in danger_track(warped)] == baseline
+        assert decisions_from_series(danger_series(warped)) == baseline

@@ -15,9 +15,7 @@ from crossrisk import (
     SensorSet,
     danger_series,
     fuse_all,
-    fuse_danger_values,
     fuse_distances,
-    fuse_votes,
 )
 
 from conftest import track_from_distances
@@ -103,7 +101,7 @@ class TestDangerFusion:
             values[rng.random(n) < 0.3] = np.nan
             data[sensor_id] = values
         sensors = sensor_set(data)
-        fused = fuse_danger_values(sensors, PARAMS).values
+        fused = fuse_all(sensors, PARAMS).g_danger_fusion.values
 
         per_sensor = [
             danger_series(track, PARAMS).values for track in sensors.fusable().values()
@@ -119,7 +117,7 @@ class TestDangerFusion:
         sensors = sensor_set(
             {k: np.full(10, 3.0) for k in (RSU, CAMERA_AW, CAMERA_DRONE)}
         )
-        fused = fuse_danger_values(sensors, PARAMS)
+        fused = fuse_all(sensors, PARAMS).g_danger_fusion
         defined = ~np.isnan(fused.values)
         assert np.allclose(fused.values[defined], 0.0)
 
@@ -140,7 +138,7 @@ class TestVotingFusion:
                 values = approach(4.0, speed)
             data[sensor_id] = values
         sensors = sensor_set(data)
-        return fuse_votes(sensors, PARAMS)[-1]
+        return fuse_all(sensors, PARAMS).decision_vote[-1]
 
     def test_majority_dangerous(self):
         assert (

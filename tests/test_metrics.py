@@ -172,7 +172,7 @@ class TestEvaluateRun:
     def test_report_keys_and_voting_has_no_rmse(self):
         run = self.make_run(noiseless=False)
         trace = fuse_all(run.sensors)
-        reports = evaluate_run(run.sensors, trace)
+        reports = evaluate_run(trace)
         assert set(reports) == set(EVALUATION_SOURCES)
         assert reports[VOTING_FUSION].rmse is None
         for source in EVALUATION_SOURCES:
@@ -199,7 +199,7 @@ class TestEvaluateRun:
         )
         run = generate_run(scenario, models, run_config=config)
         trace = fuse_all(run.sensors, derivative_smooth_window=1)
-        reports = evaluate_run(run.sensors, trace)
+        reports = evaluate_run(trace)
         for source, report in reports.items():
             assert report.accuracy == 1.0, source
             if report.rmse is not None:
@@ -213,4 +213,4 @@ class TestEvaluateRun:
         sensors = SensorSet(run.sensors.grid, tracks)
         trace = fuse_all(sensors)
         with pytest.raises(ValueError, match="tracker"):
-            evaluate_run(sensors, trace)
+            evaluate_run(trace)
