@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -37,7 +38,10 @@ class RunConfig:
         if self.resample_hz <= 0:
             raise ValueError("resample_hz must be positive")
         for name in ("smooth_window_rsu", "smooth_window_camera", "smooth_window_derivative"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.max_gap_s <= 0:
             raise ValueError("max_gap_s must be positive")

@@ -47,7 +47,7 @@ def _as_decisions(codes: np.ndarray) -> tuple[Decision, ...]:
 
 def _as_codes(decisions) -> np.ndarray:
     """Inverse of :func:`_as_decisions` for a sequence of :class:`Decision`."""
-    labels = np.array(decisions, dtype=object)
+    labels = np.fromiter(decisions, dtype=object, count=len(decisions))
     return np.where(labels == Decision.UNKNOWN, _UNKNOWN, labels == Decision.DANGEROUS)
 
 

@@ -8,6 +8,7 @@ files.  Empty CSV fields mean "missing".
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -15,6 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .danger import _DECISIONS, _as_codes
 from .fusion import CAMERA_AW, CAMERA_DRONE, RSU, TRACKER, FusionTrace
 from .metrics import (
     DANGER_FUSION,
@@ -63,8 +65,111 @@ TABLE_LABELS = {
 }
 
 
-def _fmt(value: float) -> str:
-    return "" if value is None or math.isnan(value) else f"{value:.6f}"
+# Rows are formatted this many at a time, which bounds the writers'
+# transient memory to a few MiB whatever the length of the trace.
+_BLOCK_ROWS = 4096
+# At and above this magnitude |x| * 1e6 is no longer an exact float64 integer.
+_EXACT_LIMIT = 2.0**53 / 1e6
+
+
+def _digit_words(pattern) -> np.ndarray:
+    """Table of 4-byte words over 0..999; ``pattern(i)`` gives each word's bytes."""
+    return np.frombuffer(b"".join(pattern(i) for i in range(1000)), np.uint32)
+
+
+# A formatted row is a sequence of 4-byte words holding up to three digits
+# plus a sign, point or separator byte; unused bytes are NUL and are deleted
+# when the row is written.  Leading zeros of the integer part are NUL too.
+_INT_FULL = _digit_words(lambda i: b"\0%03d" % i)
+_INT_UNITS = _digit_words(lambda i: (b"%4d" % i).replace(b" ", b"\0"))
+_INT_TOP = _digit_words(lambda i: (b"%4d" % i).replace(b" ", b"\0") if i else b"\0" * 4)
+_FRAC_HIGH = _digit_words(lambda i: b".%03d" % i)
+_FRAC_LOW = _digit_words(lambda i: b"%03d\0" % i)
+_MINUS = np.frombuffer(b"-\0\0\0", np.uint32)[0]
+_NUL = np.uint32(0)
+_DECISION_LABELS = [str(d).encode() for d in _DECISIONS]
+
+
+def _micro_ticks(a: np.ndarray) -> np.ndarray:
+    """Non-negative ``a`` below ``_EXACT_LIMIT`` in integer micro-units, as ``%.6f`` rounds it.
+
+    ``a * 1e6`` is off by at most half an ulp, which moves the rounding
+    only of a value that close to a half-tick; those few values (exact
+    ties such as ``k/128`` among them) are rounded by Python instead.
+    """
+    scaled = a * 1e6
+    ticks = np.rint(scaled).astype(np.int64)
+    near_half = np.abs(scaled - np.floor(scaled) - 0.5) <= np.maximum(1e-7, scaled * 1e-15)
+    for i in np.flatnonzero(near_half):
+        ticks[i] = int(("%.6f" % a[i]).replace(".", ""))
+    return ticks
+
+
+def _signed_ticks(x: np.ndarray) -> np.ndarray:
+    """Finite ``x`` as the signed integer micro-ticks its ``%.6f`` text reads as."""
+    a = np.abs(x)
+    if np.all(a < _EXACT_LIMIT):
+        ticks = _micro_ticks(a)
+        return np.where(np.signbit(x), -ticks, ticks)
+    return np.array([int(("%.6f" % v).replace(".", "")) for v in x.tolist()], dtype=object)
+
+
+def _text_words(texts: Sequence[bytes]) -> np.ndarray:
+    """Byte strings as rows of NUL-padded words."""
+    width = -(-max(len(t) for t in texts) // 4)
+    return np.array(texts, dtype=f"S{4 * width}").view(np.uint32).reshape(len(texts), width)
+
+
+def _float_words(x: np.ndarray, sep: bytes) -> list[np.ndarray]:
+    """``f"{v:.6f}"`` of every value followed by ``sep`` (NaN: ``sep`` alone), as word columns.
+
+    The sign comes from the sign bit, so ``-0.0`` and ``-1e-9`` print
+    ``-0.000000``.  A column holding a value at or beyond ``_EXACT_LIMIT``
+    (or an infinity) is formatted wholly by Python.
+    """
+    missing = np.isnan(x)
+    a = np.abs(np.where(missing, 0.0, x))
+    if not np.all(a < _EXACT_LIMIT):
+        texts = [sep if m else b"%.6f%s" % (v, sep) for v, m in zip(x.tolist(), missing.tolist())]
+        return list(_text_words(texts).T)
+    whole, frac = np.divmod(_micro_ticks(a), 1_000_000)
+    high, low = np.divmod(frac, 1000)
+    sep_word = np.frombuffer(sep.rjust(4, b"\0"), np.uint32)[0]
+    words = [_FRAC_HIGH.take(high), _FRAC_LOW.take(low) | sep_word]
+    rest, group = np.divmod(whole, 1000)
+    words.insert(0, np.where(rest > 0, _INT_FULL.take(group), _INT_UNITS.take(group)))
+    while rest.any():
+        rest, group = np.divmod(rest, 1000)
+        words.insert(0, np.where(rest > 0, _INT_FULL.take(group), _INT_TOP.take(group)))
+    words[0] = words[0] | np.where(np.signbit(x), _MINUS, _NUL)
+    words[-1] = np.where(missing, sep_word, words[-1])
+    return [np.where(missing, _NUL, w) for w in words[:-1]] + words[-1:]
+
+
+def _write_rows(
+    fh,
+    floats: Sequence[np.ndarray],
+    labels: Sequence[tuple[np.ndarray, Sequence[bytes]]] = (),
+) -> None:
+    """Write CSV rows of equal-length columns: ``floats`` as ``%.6f``, then labels.
+
+    A label column is a ``(codes, texts)`` pair printing ``texts[code]``
+    per row.  Each block of rows becomes one word matrix whose NUL bytes
+    are deleted on the way out, so no Python code runs per row.
+    """
+    seps = [b","] * (len(floats) + len(labels) - 1) + [b"\n"]
+    tables = [
+        _text_words([text + sep for text in texts])
+        for (_, texts), sep in zip(labels, seps[len(floats) :])
+    ]
+    for start in range(0, floats[0].size, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        words = []
+        for column, sep in zip(floats, seps):
+            words += _float_words(column[block], sep)
+        for (codes, _), table in zip(labels, tables):
+            words += list(table[codes[block]].T)
+        fh.write(np.stack(words, axis=1).tobytes().translate(None, b"\0"))
 
 
 def _parse_float(text: str, row: int, column: str) -> float:
@@ -132,24 +237,36 @@ def write_sensor_csv(path: str | Path, streams: Mapping[str, TimeSeries]) -> Non
 
     Streams may be sampled at different rates; rows are the sorted union
     of all sample instants, with empty fields where a sensor has no
-    sample (or a missing one) at that instant.
+    sample (or a missing one) at that instant.  Instants that print as
+    the same six-decimal timestamp share one row, so the file reads back
+    with strictly increasing timestamps; a sensor with two samples on
+    one such row is a ``ValueError`` naming the sensor.
     """
-    merged = np.unique(np.concatenate([s.times for s in streams.values()]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp"] + [c for c, _ in SENSOR_COLUMNS])
-        cells = {}
-        for column, sensor_id in SENSOR_COLUMNS:
-            col = np.full(merged.size, np.nan)
-            stream = streams.get(sensor_id)
-            if stream is not None:
-                pos = np.searchsorted(merged, stream.times)
-                col[pos] = stream.values
-            cells[column] = col
-        for i, t in enumerate(merged):
-            writer.writerow(
-                [_fmt(t)] + [_fmt(cells[c][i]) for c, _ in SENSOR_COLUMNS]
-            )
+    times = np.concatenate([s.times for s in streams.values()])
+    order = np.argsort(times, kind="stable")
+    ticks = _signed_ticks(times)[order]
+    new_row = np.r_[True, ticks[1:] != ticks[:-1]]
+    row_of = np.empty(times.size, np.int64)
+    row_of[order] = np.cumsum(new_row) - 1
+    sizes = [s.times.size for s in streams.values()]
+    rows_of = dict(zip(streams, np.split(row_of, np.cumsum(sizes)[:-1])))
+    columns = [times[order][new_row]]
+    for _, sensor_id in SENSOR_COLUMNS:
+        column = np.full(columns[0].size, np.nan)
+        if sensor_id in streams:
+            rows = rows_of[sensor_id]
+            shared = np.flatnonzero(np.diff(rows) == 0)
+            if shared.size:
+                t0, t1 = streams[sensor_id].times[shared[0] : shared[0] + 2].tolist()
+                raise ValueError(
+                    f"sensor {sensor_id}: samples at {t0!r} s and {t1!r} s would "
+                    "share one six-decimal timestamp"
+                )
+            column[rows] = streams[sensor_id].values
+        columns.append(column)
+    with open(path, "wb") as fh:
+        fh.write((",".join(["timestamp"] + [c for c, _ in SENSOR_COLUMNS]) + "\n").encode())
+        _write_rows(fh, columns)
 
 
 def write_fused_csv(
@@ -165,31 +282,25 @@ def write_fused_csv(
     sensors that voted, empty when none did.
     """
     times = trace.grid.times()
-    g_cols = []
+    floats = [times]
     for sensor_id in (RSU, CAMERA_AW, CAMERA_DRONE, TRACKER):
         series = sensor_g.get(sensor_id)
-        g_cols.append(np.full(times.size, np.nan) if series is None else series.values)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FUSED_HEADER)
-        for i, t in enumerate(times):
-            vote = "" if trace.votes_cast[i] == 0 else str(int(trace.dangerous_votes[i]))
-            writer.writerow(
-                [
-                    _fmt(t),
-                    _fmt(g_cols[0][i]),
-                    _fmt(g_cols[1][i]),
-                    _fmt(g_cols[2][i]),
-                    _fmt(g_cols[3][i]),
-                    _fmt(trace.distance_fused.values[i]),
-                    _fmt(trace.g_distance_fusion.values[i]),
-                    _fmt(trace.g_danger_fusion.values[i]),
-                    vote,
-                    str(trace.decision_distance[i]),
-                    str(trace.decision_danger[i]),
-                    str(trace.decision_vote[i]),
-                ]
-            )
+        floats.append(np.full(times.size, np.nan) if series is None else series.values)
+    floats += [
+        trace.distance_fused.values,
+        trace.g_distance_fusion.values,
+        trace.g_danger_fusion.values,
+    ]
+    # vote code 0 prints empty (nobody voted), code k + 1 prints k
+    vote_codes = np.where(trace.votes_cast == 0, 0, trace.dangerous_votes + 1)
+    vote_labels = [b""] + [b"%d" % k for k in range(vote_codes.max(initial=0))]
+    labels = [(vote_codes, vote_labels)] + [
+        (_as_codes(decisions), _DECISION_LABELS)
+        for decisions in (trace.decision_distance, trace.decision_danger, trace.decision_vote)
+    ]
+    with open(path, "wb") as fh:
+        fh.write((",".join(FUSED_HEADER) + "\n").encode())
+        _write_rows(fh, floats, labels)
 
 
 def read_csv_columns(path: str | Path) -> tuple[list[str], list[list[str]]]:
@@ -222,21 +333,42 @@ def write_plot_csv(
     """
     if not header or header[0] != "timestamp":
         raise SensorCsvError("plot input must have a leading timestamp column")
-    timestamps = columns[0] if columns else []
+    timestamps = _csv_fields(columns[0] if columns else [])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp", "series", "value"])
+        fh.write("timestamp,series,value\n")
         numeric_series = []
         for name, column in zip(header[1:], columns[1:]):
             if all(_is_numeric_or_empty(cell) for cell in column):
                 numeric_series.append(name)
-                for t, cell in zip(timestamps, column):
-                    if cell != "":
-                        writer.writerow([t, name, cell])
+                infix = f",{_csv_fields([name])[0]},"
+                cells = _csv_fields(column)
+                for start in range(0, min(len(timestamps), len(cells)), _BLOCK_ROWS):
+                    block = slice(start, start + _BLOCK_ROWS)
+                    rows = zip(timestamps[block], cells[block])
+                    fh.write("".join([t + infix + c + "\n" for t, c in rows if c]))
         has_scores = any(name.startswith("g_") or name.startswith("danger") for name in numeric_series)
         if threshold is not None and has_scores:
-            for t in timestamps:
-                writer.writerow([t, "g_star", f"{threshold:.6f}"])
+            suffix = f",g_star,{threshold:.6f}\n"
+            for start in range(0, len(timestamps), _BLOCK_ROWS):
+                fh.write("".join([t + suffix for t in timestamps[start : start + _BLOCK_ROWS]]))
+
+
+def _csv_fields(cells: Sequence[str]) -> Sequence[str]:
+    """``cells`` as :mod:`csv` writes them, quoting any that holds a special character."""
+    joined = "".join(cells)
+    if not any(ch in joined for ch in ',"\r\n'):
+        return cells
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    quoted = []
+    for cell in cells:
+        if any(ch in cell for ch in ',"\r\n'):
+            writer.writerow([cell])
+            cell = buffer.getvalue()[:-1]
+            buffer.seek(0)
+            buffer.truncate()
+        quoted.append(cell)
+    return quoted
 
 
 def _is_numeric_or_empty(cell: str) -> bool:

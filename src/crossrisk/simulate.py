@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .danger import Decision, danger_series, decisions_from_series
+from .danger import Decision, _require_finite, danger_series, decisions_from_series
 from .fusion import (
     CAMERA_AW,
     CAMERA_DRONE,
@@ -53,6 +53,7 @@ class RangeSensorModel:
     relative_noise: float = 0.05
 
     def __post_init__(self) -> None:
+        _require_finite(self, ("relative_noise",))
         if self.relative_noise < 0:
             raise ValueError("relative_noise must be non-negative")
 
@@ -72,8 +73,9 @@ class CameraSensorModel:
     object_width_m: float = 0.32
 
     def __post_init__(self) -> None:
-        if self.detection_range <= 0:
-            raise ValueError("detection_range must be positive")
+        _require_finite(self, ("pixel_noise_sigma", "focal_px", "object_width_m"))
+        if not self.detection_range > 0:  # infinity is unlimited range, NaN is rejected
+            raise ValueError(f"detection_range must be positive, got {self.detection_range!r}")
         if self.pixel_noise_sigma < 0:
             raise ValueError("pixel_noise_sigma must be non-negative")
         if self.focal_px <= 0 or self.object_width_m <= 0:
@@ -97,6 +99,17 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(
+            self,
+            (
+                "duration",
+                "initial_distance",
+                "initial_speed",
+                "truth_rate_hz",
+                "rsu_rate_hz",
+                "camera_rate_hz",
+            ),
+        )
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.initial_distance <= 0:
@@ -107,6 +120,8 @@ class ScenarioConfig:
             if rate <= 0:
                 raise ValueError("sample rates must be positive")
         segments = tuple((float(d), float(a)) for d, a in self.segments)
+        if not all(math.isfinite(v) for segment in segments for v in segment):
+            raise ValueError("segments must hold finite numbers")
         if not segments:
             segments = ((self.duration, 0.0),)
         if any(d <= 0 for d, _ in segments):
@@ -352,7 +367,7 @@ def _camera_from_dict(data: dict, sensor_id: str) -> CameraSensorModel:
         kwargs["detection_range"] = math.inf  # null means unlimited range
     try:
         return CameraSensorModel(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"scenario field sensors.{sensor_id}: {exc}") from exc
 
 
@@ -394,7 +409,7 @@ def scenario_from_dict(data: dict) -> tuple[ScenarioConfig, dict[str, SensorMode
         if sensor_id == RSU:
             try:
                 models[sensor_id] = RangeSensorModel(**params)
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"scenario field sensors.{sensor_id}: {exc}") from exc
         else:
             models[sensor_id] = _camera_from_dict(params, sensor_id)

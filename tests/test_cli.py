@@ -15,6 +15,7 @@ from crossrisk import (
     evaluate_run,
     fuse_all,
     generate_run,
+    load_scenario,
     run_config_from_dict,
     sensor_set_from_streams,
 )
@@ -309,6 +310,67 @@ class TestCliCommands:
         assert main([*flags, "evaluate", str(sensors_csv)]) == 2
         err = capsys.readouterr().err
         assert f"{field} must be a finite number" in err
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"smooth_window_rsu": "2"}, "smooth_window_rsu"),
+            ({"smooth_window_camera": 2.5}, "smooth_window_camera"),
+            ({"smooth_window_derivative": True}, "smooth_window_derivative"),
+        ],
+    )
+    def test_non_integer_window_is_data_error(self, tmp_path, sensors_csv, capsys, config, field):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "ingest", str(sensors_csv)]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"rsu_rate_hz": math.inf}, "rsu_rate_hz must be a finite number"),
+            ({"duration": math.nan}, "duration must be a finite number"),
+            ({"segments": [[math.nan, 0.0]]}, "segments must hold finite numbers"),
+            ({"sensors": {"rsu": {"relative_noise": math.nan}}}, "sensors.rsu"),
+            ({"sensors": {"camera_aw": {"detection_range": math.nan}}}, "detection_range"),
+        ],
+    )
+    def test_non_finite_scenario_is_data_error(self, tmp_path, capsys, override, field):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({**SCENARIO, **override}))
+        assert main(["simulate", str(scenario), str(tmp_path / "out.csv")]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_simulate_ingest_round_trip_with_colliding_rates(self, tmp_path):
+        # k / 1000.3 and k / 1000 are distinct instants that print alike
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(
+            json.dumps({**SCENARIO, "rsu_rate_hz": 1000.3, "camera_rate_hz": 1000.0})
+        )
+        recording = tmp_path / "sensors.csv"
+        assert main(["simulate", str(scenario), str(recording)]) == 0
+        assert main(["ingest", str(recording)]) == 0
+
+        config, models = load_scenario(scenario)
+        raw = generate_run(config, models).raw_streams
+        read = read_sensor_csv(recording)
+        for sensor_id, stream in raw.items():
+            present = read[sensor_id].present_count()
+            assert present == stream.present_count()
+            # every sample sits on a row whose timestamp prints as its own
+            t = read[sensor_id].times[~np.isnan(read[sensor_id].values)]
+            np.testing.assert_allclose(t, stream.times[~np.isnan(stream.values)], atol=6e-7)
+
+    def test_two_samples_of_one_sensor_on_one_timestamp_is_data_error(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(
+            json.dumps(
+                {"duration": 0.002, "initial_distance": 4.0, "truth_rate_hz": 1000.0,
+                 "rsu_rate_hz": 2e6}
+            )
+        )
+        assert main(["simulate", str(scenario), str(tmp_path / "out.csv")]) == 2
+        assert "sensor rsu: samples at 0.0 s and 5e-07 s" in capsys.readouterr().err
 
     def test_fuse_output_name_clash_is_usage_error(self, tmp_path, sensors_csv, capsys):
         inputs = [tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv"]

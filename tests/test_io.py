@@ -1,0 +1,192 @@
+"""CSV writers: the column-at-once number formatter against per-row oracles."""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from crossrisk import (
+    TimeSeries,
+    fuse_all,
+    generate_run,
+    scenario_from_dict,
+    sensor_set_from_streams,
+)
+from crossrisk.fusion import CAMERA_AW, CAMERA_DRONE, RSU, TRACKER
+from crossrisk.io import (
+    FUSED_HEADER,
+    SENSOR_COLUMNS,
+    _float_words,
+    _signed_ticks,
+    write_fused_csv,
+    write_plot_csv,
+    write_sensor_csv,
+)
+
+GOLDEN_SCENARIO = json.loads(
+    (Path(__file__).parent / "golden" / "braking_scenario.json").read_text()
+)
+EXACT_LIMIT = 2.0**53 / 1e6
+
+
+def oracle_field(value: float) -> str:
+    return "" if math.isnan(value) else f"{value:.6f}"
+
+
+def oracle_fused_csv(trace, sensor_g) -> str:
+    """The fused trace formatted one row at a time with f-strings."""
+    n = trace.grid.count
+    columns = [trace.grid.times()]
+    for sensor_id in (RSU, CAMERA_AW, CAMERA_DRONE, TRACKER):
+        series = sensor_g.get(sensor_id)
+        columns.append(np.full(n, np.nan) if series is None else series.values)
+    columns += [
+        trace.distance_fused.values,
+        trace.g_distance_fusion.values,
+        trace.g_danger_fusion.values,
+    ]
+    lines = [",".join(FUSED_HEADER)]
+    for i in range(n):
+        vote = "" if trace.votes_cast[i] == 0 else str(int(trace.dangerous_votes[i]))
+        decisions = (trace.decision_distance[i], trace.decision_danger[i], trace.decision_vote[i])
+        lines.append(
+            ",".join([oracle_field(c[i]) for c in columns] + [vote] + [str(d) for d in decisions])
+        )
+    return "\n".join(lines) + "\n"
+
+
+def oracle_sensor_csv(streams) -> str:
+    """The sensor recording formatted one row at a time (valid when no instants collide)."""
+    merged = np.unique(np.concatenate([s.times for s in streams.values()]))
+    lines = [",".join(["timestamp"] + [c for c, _ in SENSOR_COLUMNS])]
+    cells = []
+    for _, sensor_id in SENSOR_COLUMNS:
+        col = np.full(merged.size, np.nan)
+        if sensor_id in streams:
+            col[np.searchsorted(merged, streams[sensor_id].times)] = streams[sensor_id].values
+        cells.append(col)
+    for i, t in enumerate(merged):
+        lines.append(",".join([oracle_field(t)] + [oracle_field(c[i]) for c in cells]))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_plot_csv(header, columns, threshold) -> str:
+    """The melted plot rows written through ``csv.writer`` one row at a time."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["timestamp", "series", "value"])
+    numeric = []
+    for name, column in zip(header[1:], columns[1:]):
+        try:
+            [float(cell) for cell in column if cell != ""]
+        except ValueError:
+            continue
+        numeric.append(name)
+        for t, cell in zip(columns[0], column):
+            if cell != "":
+                writer.writerow([t, name, cell])
+    if threshold is not None and any(n.startswith(("g_", "danger")) for n in numeric):
+        for t in columns[0]:
+            writer.writerow([t, "g_star", f"{threshold:.6f}"])
+    return buffer.getvalue()
+
+
+def formatted(values) -> list[str]:
+    words = _float_words(np.asarray(values, dtype=float), b"\n")
+    return np.stack(words, axis=1).tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+
+
+special_values = st.one_of(
+    st.integers(-(2**20), 2**20).map(lambda k: k / 128),  # exact half-tick ties
+    st.integers(-(10**12), 10**12).map(lambda k: (k + 0.5) / 1e6),  # nearest doubles to ties
+    st.floats(0.999 * EXACT_LIMIT, 1.001 * EXACT_LIMIT),  # both sides of the exact range
+    st.floats(-1e-5, 1e-5),
+    st.sampled_from([0.0, -0.0, -1e-9, 5e-7, -5e-7, 9.9999995, 1e300, -math.inf]),
+)
+
+
+class TestFixedPointFormatter:
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(st.floats(), special_values), min_size=1, max_size=40))
+    @example([0.0, -0.0, -1e-9, math.nan, 0.0078125, -0.0234375])
+    @example([EXACT_LIMIT - 1e-3, 1.5])
+    @example([EXACT_LIMIT, 1.5, -2.5e-7])  # past the limit: the whole column in Python
+    def test_column_matches_fstring(self, values):
+        assert formatted(values) == [oracle_field(v) for v in values]
+
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), special_values)
+                    .filter(math.isfinite), min_size=1, max_size=40))
+    @example([-1e-9, 0.0, 5e-7])
+    @example([EXACT_LIMIT, -5e-7])
+    def test_ticks_are_the_printed_number(self, values):
+        ticks = _signed_ticks(np.array(values, dtype=float)).tolist()
+        assert ticks == [int(f"{v:.6f}".replace(".", "")) for v in values]
+
+    def test_long_column_crosses_blocks(self, tmp_path):
+        times = np.arange(10_000) / 100.0 - 0.005
+        values = np.where(np.arange(times.size) % 7 == 0, np.nan, np.cos(times) * 3)
+        streams = {RSU: TimeSeries(times, values)}
+        path = tmp_path / "long.csv"
+        write_sensor_csv(path, streams)
+        assert path.read_text() == oracle_sensor_csv(streams)
+
+
+def _recordings():
+    """Simulated runs with camera dropouts, a blind AW camera, and one without tracker."""
+    blind = {**GOLDEN_SCENARIO, "sensors": {"camera_aw": {"detection_range": 0.01}}}
+    runs = {}
+    for name, scenario, seed in (("seed1", GOLDEN_SCENARIO, 1), ("seed2", GOLDEN_SCENARIO, 2),
+                                 ("blind-aw", blind, 3)):
+        config, models = scenario_from_dict({**scenario, "seed": seed})
+        runs[name] = generate_run(config, models).raw_streams
+    runs["no-tracker"] = {k: v for k, v in runs["seed1"].items() if k != TRACKER}
+    return [pytest.param(streams, id=name) for name, streams in runs.items()]
+
+
+@pytest.mark.parametrize("streams", _recordings())
+def test_writers_match_row_oracles(tmp_path, streams):
+    recording = tmp_path / "sensors.csv"
+    write_sensor_csv(recording, streams)
+    assert recording.read_text() == oracle_sensor_csv(streams)
+
+    trace = fuse_all(sensor_set_from_streams(streams))
+    fused = tmp_path / "fused.csv"
+    write_fused_csv(fused, trace, trace.sensor_g)
+    text = fused.read_text()
+    assert text == oracle_fused_csv(trace, trace.sensor_g)
+    assert ",," in text  # empty fields are exercised
+    if TRACKER not in streams:
+        assert all(line.split(",")[4] == "" for line in text.splitlines()[1:])
+
+    header = text.splitlines()[0].split(",")
+    columns = [list(c) for c in zip(*(line.split(",") for line in text.splitlines()[1:]))]
+    plot = tmp_path / "plot.csv"
+    write_plot_csv(plot, header, columns, threshold=1.0)
+    assert plot.read_text() == oracle_plot_csv(header, columns, 1.0)
+
+
+def test_plot_rows_quote_special_characters(tmp_path):
+    header = ["timestamp", "g_a,b", 'g_"q"', "g_line\nbreak", "plain", "label"]
+    columns = [
+        ["0.0", "1,5", '"2"', "3\r"],
+        ["1", "", "2", "3"],
+        ["4", "5", "", "6"],
+        ["7", "8", "9", ""],
+        ["1.5", "2.5", "3.5", " 4.5\n"],
+        ["Safe", "Dangerous", "", "Unknown"],
+    ]
+    path = tmp_path / "plot.csv"
+    write_plot_csv(path, header, columns, threshold=0.5)
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    assert text == oracle_plot_csv(header, columns, 0.5)
+    assert '"g_a,b"' in text and '"g_""q"""' in text and '"1,5"' in text
