@@ -11,7 +11,6 @@ import dataclasses
 import json
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import io as crio
@@ -51,18 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", help="run the fusion pipeline, write a decision trace")
     p.add_argument("inputs", nargs="+", help="sensor CSV file(s)")
     p.add_argument("output", help="trace CSV to write (directory for multiple inputs)")
-    p.add_argument(
-        "--parallel-runs", type=int, default=1, metavar="INT",
-        help="process multiple input files concurrently",
-    )
 
     p = sub.add_parser("evaluate", help="score sensors and fusions against the tracker")
     p.add_argument("inputs", nargs="+", help="sensor CSV file(s) with a tracker column")
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
-    p.add_argument(
-        "--parallel-runs", type=int, default=1, metavar="INT",
-        help="process multiple input files concurrently",
-    )
 
     p = sub.add_parser("plotdata", help="melt a trace into long-format plot rows")
     p.add_argument("input", help="fused-trace CSV or sensor CSV")
@@ -83,14 +74,17 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _ingest(path: str, config: RunConfig):
-    return sensor_set_from_streams(
-        crio.read_sensor_csv(path),
-        resample_hz=config.resample_hz,
-        smooth_window_rsu=config.smooth_window_rsu,
-        smooth_window_camera=config.smooth_window_camera,
-        derivative_smooth_window=config.smooth_window_derivative,
-        max_gap=config.max_gap_s,
-    )
+    try:
+        return sensor_set_from_streams(
+            crio.read_sensor_csv(path),
+            resample_hz=config.resample_hz,
+            smooth_window_rsu=config.smooth_window_rsu,
+            smooth_window_camera=config.smooth_window_camera,
+            derivative_smooth_window=config.smooth_window_derivative,
+            max_gap=config.max_gap_s,
+        )
+    except ValueError as exc:  # name the input: with several, it says which one failed
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
@@ -128,9 +122,6 @@ def _fuse_one(path: str, output: Path, config: RunConfig) -> None:
 
 
 def cmd_fuse(args: argparse.Namespace, config: RunConfig) -> int:
-    if args.parallel_runs < 1:
-        print("error: --parallel-runs must be at least 1", file=sys.stderr)
-        return USAGE_ERROR
     out = Path(args.output)
     if len(args.inputs) > 1:
         stems = [Path(p).stem for p in args.inputs]
@@ -146,13 +137,8 @@ def cmd_fuse(args: argparse.Namespace, config: RunConfig) -> int:
         targets = [out / f"{stem}_fused.csv" for stem in stems]
     else:
         targets = [out]
-    with ThreadPoolExecutor(max_workers=args.parallel_runs) as pool:
-        futures = [
-            pool.submit(_fuse_one, path, target, config)
-            for path, target in zip(args.inputs, targets)
-        ]
-        for future in futures:
-            future.result()
+    for path, target in zip(args.inputs, targets):
+        _fuse_one(path, target, config)
     return 0
 
 
@@ -163,16 +149,11 @@ def _evaluate_one(path: str, config: RunConfig) -> dict:
     trace = fuse_all(
         sensors, config.danger, derivative_smooth_window=config.smooth_window_derivative
     )
-    return evaluate_run(trace, config.danger, config.unknown_as_safe)
+    return evaluate_run(trace, config.unknown_as_safe)
 
 
 def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
-    if args.parallel_runs < 1:
-        print("error: --parallel-runs must be at least 1", file=sys.stderr)
-        return USAGE_ERROR
-    with ThreadPoolExecutor(max_workers=args.parallel_runs) as pool:
-        futures = [pool.submit(_evaluate_one, path, config) for path in args.inputs]
-        results = [future.result() for future in futures]
+    results = [_evaluate_one(path, config) for path in args.inputs]
     if args.json:
         if len(results) == 1:
             sys.stdout.write(crio.reports_to_json(results[0]))

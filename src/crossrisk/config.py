@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Any
 
 from .danger import DangerParams, _require_finite
-from .kinematics import CrossingModel
 
 
 @dataclass(frozen=True)
@@ -29,9 +28,6 @@ class RunConfig:
     max_gap_s: float = 0.5
     unknown_as_safe: bool = False
     danger: DangerParams = field(default_factory=DangerParams)
-    crossing: CrossingModel = field(
-        default_factory=lambda: CrossingModel(road_width=3.0, crossing_speed=1.0)
-    )
 
     def __post_init__(self) -> None:
         _require_finite(self, ("resample_hz", "max_gap_s"))
@@ -59,16 +55,13 @@ def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
     """Build a RunConfig from a plain dict (e.g. parsed JSON).
 
     Unknown keys are rejected so typos do not silently fall back to
-    defaults; the ``danger`` and ``crossing`` blocks are nested objects.
+    defaults; the ``danger`` block is a nested object.
     """
     data = dict(data)
     danger = data.pop("danger", None)
-    crossing = data.pop("crossing", None)
     kwargs: dict[str, Any] = dict(data)
     if danger is not None:
         kwargs["danger"] = _build_dataclass(DangerParams, danger, "danger")
-    if crossing is not None:
-        kwargs["crossing"] = _build_dataclass(CrossingModel, crossing, "crossing")
     return _build_dataclass(RunConfig, kwargs, "config")
 
 

@@ -22,11 +22,9 @@ from .danger import (
     _DANGEROUS,
     _UNKNOWN,
     DangerParams,
-    Decision,
     _as_decisions,
     _decision_codes,
     danger_series,
-    decisions_from_series,
 )
 from .kinematics import KinematicTrack, differentiate
 from .timeseries import TimeSeries, UniformGrid, align, smooth_trailing
@@ -47,11 +45,8 @@ class SensorSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tracks", dict(self.tracks))
-        expected = self.grid.times()
         for sensor_id, track in self.tracks.items():
-            if track.grid.count != self.grid.count or not np.allclose(
-                track.grid.times(), expected, rtol=0.0, atol=1e-12
-            ):
+            if track.grid != self.grid:
                 raise ValueError(f"track {sensor_id!r} is not on the shared grid")
 
     def fusable(self) -> dict[str, KinematicTrack]:
@@ -66,21 +61,30 @@ class SensorSet:
 class FusionTrace:
     """Per-grid-point outputs of all three fusion architectures.
 
+    ``params`` are the danger parameters the trace was fused with.
     ``sensor_g`` holds the danger-score series of every track in the
     sensor set, tracker included, as scored once by :func:`fuse_all`.
+    The three decision streams are int codes (0 SAFE, 1 DANGEROUS,
+    2 UNKNOWN); the read-only ``decision_distance``, ``decision_danger``
+    and ``decision_vote`` decode them to ``tuple[Decision, ...]``.
     """
 
     grid: UniformGrid
+    params: DangerParams
     available_count: np.ndarray
     distance_fused: TimeSeries
     g_distance_fusion: TimeSeries
     g_danger_fusion: TimeSeries
-    decision_distance: tuple[Decision, ...]
-    decision_danger: tuple[Decision, ...]
-    decision_vote: tuple[Decision, ...]
+    distance_codes: np.ndarray
+    danger_codes: np.ndarray
+    vote_codes: np.ndarray
     dangerous_votes: np.ndarray
     votes_cast: np.ndarray
     sensor_g: Mapping[str, TimeSeries]
+
+    decision_distance = property(lambda self: _as_decisions(self.distance_codes))
+    decision_danger = property(lambda self: _as_decisions(self.danger_codes))
+    decision_vote = property(lambda self: _as_decisions(self.vote_codes))
 
 
 def sensor_set_from_streams(
@@ -168,13 +172,14 @@ def fuse_all(
     available_count = np.sum([t.distance.present for t in fusable.values()], axis=0)
     return FusionTrace(
         grid=grid,
+        params=params,
         available_count=available_count,
         distance_fused=distance_fused,
         g_distance_fusion=g_distance,
         g_danger_fusion=g_danger,
-        decision_distance=decisions_from_series(g_distance, params),
-        decision_danger=decisions_from_series(g_danger, params),
-        decision_vote=_as_decisions(vote),
+        distance_codes=_decision_codes(g_distance.values, params.threshold),
+        danger_codes=_decision_codes(g_danger.values, params.threshold),
+        vote_codes=vote,
         dangerous_votes=dangerous,
         votes_cast=cast,
         sensor_g=sensor_g,

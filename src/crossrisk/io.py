@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .danger import _DECISIONS, _as_codes
+from .danger import _DECISIONS
 from .fusion import CAMERA_AW, CAMERA_DRONE, RSU, TRACKER, FusionTrace
 from .metrics import (
     DANGER_FUSION,
@@ -291,12 +291,12 @@ def write_fused_csv(
         trace.g_distance_fusion.values,
         trace.g_danger_fusion.values,
     ]
-    # vote code 0 prints empty (nobody voted), code k + 1 prints k
-    vote_codes = np.where(trace.votes_cast == 0, 0, trace.dangerous_votes + 1)
-    vote_labels = [b""] + [b"%d" % k for k in range(vote_codes.max(initial=0))]
-    labels = [(vote_codes, vote_labels)] + [
-        (_as_codes(decisions), _DECISION_LABELS)
-        for decisions in (trace.decision_distance, trace.decision_danger, trace.decision_vote)
+    # count code 0 prints empty (nobody voted), code k + 1 prints k
+    count_codes = np.where(trace.votes_cast == 0, 0, trace.dangerous_votes + 1)
+    count_labels = [b""] + [b"%d" % k for k in range(count_codes.max(initial=0))]
+    labels = [(count_codes, count_labels)] + [
+        (codes, _DECISION_LABELS)
+        for codes in (trace.distance_codes, trace.danger_codes, trace.vote_codes)
     ]
     with open(path, "wb") as fh:
         fh.write((",".join(FUSED_HEADER) + "\n").encode())

@@ -10,6 +10,7 @@ a brute-force numerical collision check used to validate it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,10 +50,10 @@ class CrossingModel:
     crossing_speed: float
 
     def __post_init__(self) -> None:
-        if self.road_width <= 0:
-            raise ValueError("road_width must be positive")
-        if self.crossing_speed <= 0:
-            raise ValueError("crossing_speed must be positive")
+        for name in ("road_width", "crossing_speed"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
 class SafetyCheck(NamedTuple):
@@ -76,17 +77,14 @@ def differentiate(
     """
     if smooth_window < 1:
         raise ValueError("smooth_window must be at least 1")
-    if len(distance) != grid.count or not np.allclose(
-        distance.times, grid.times(), rtol=0.0, atol=1e-12
-    ):
-        raise ValueError("distance series must lie on the provided grid")
     d = distance.values
     rate = grid.rate_hz
-    speed = np.full(grid.count, np.nan)
-    accel = np.full(grid.count, np.nan)
-    if grid.count > 1:
+    # sized by the series, so one off the grid reaches KinematicTrack's grid check
+    speed = np.full(d.size, np.nan)
+    accel = np.full(d.size, np.nan)
+    if d.size > 1:
         speed[1:] = (d[:-1] - d[1:]) * rate
-    if grid.count > 2:
+    if d.size > 2:
         accel[2:] = (speed[2:] - speed[1:-1]) * rate
     speed_ts = distance.with_values(speed)
     accel_ts = distance.with_values(accel)

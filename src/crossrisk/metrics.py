@@ -8,7 +8,7 @@ either side is UNKNOWN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,10 +17,9 @@ from .danger import (
     _DANGEROUS,
     _SAFE,
     _UNKNOWN,
-    DangerParams,
     Decision,
     _as_codes,
-    decisions_from_series,
+    _decision_codes,
 )
 from .fusion import CAMERA_AW, CAMERA_DRONE, RSU, TRACKER, FusionTrace
 from .timeseries import TimeSeries
@@ -77,22 +76,18 @@ def rmse(predicted: TimeSeries, truth: TimeSeries) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def classification_report(
-    predicted: Sequence[Decision],
-    truth: Sequence[Decision],
-    unknown_as_safe: bool = False,
+def _report(
+    predicted: np.ndarray,
+    truth: np.ndarray,
+    unknown_as_safe: bool,
+    predicted_g: TimeSeries | None = None,
+    truth_g: TimeSeries | None = None,
 ) -> EvaluationReport:
-    """Confusion-derived metrics with DANGEROUS as the positive class.
-
-    Instants where either stream is UNKNOWN are excluded from the counts
-    (and tallied in ``excluded_points``); with ``unknown_as_safe`` an
-    UNKNOWN prediction is instead counted as a SAFE call, while UNKNOWN
-    truth is always excluded.
-    """
+    """Report over int decision codes; RMSE only when ``predicted_g`` is given."""
     if len(predicted) != len(truth):
         raise ValueError("decision streams must have equal length")
     # counts[t, p]: instants with truth code t and predicted code p
-    counts = np.bincount(3 * _as_codes(truth) + _as_codes(predicted), minlength=9).reshape(3, 3)
+    counts = np.bincount(3 * truth + predicted, minlength=9).reshape(3, 3)
     if unknown_as_safe:
         counts[:, _SAFE] += counts[:, _UNKNOWN]
         counts[:, _UNKNOWN] = 0
@@ -105,7 +100,7 @@ def classification_report(
     precision_defaulted = (tp + fp) == 0
     recall_defaulted = (tp + fn) == 0
     return EvaluationReport(
-        rmse=None,
+        rmse=None if predicted_g is None else rmse(predicted_g, truth_g),
         accuracy=(tp + tn) / evaluated,
         precision=1.0 if precision_defaulted else tp / (tp + fp),
         recall=1.0 if recall_defaulted else tp / (tp + fn),
@@ -120,6 +115,21 @@ def classification_report(
     )
 
 
+def classification_report(
+    predicted: Sequence[Decision],
+    truth: Sequence[Decision],
+    unknown_as_safe: bool = False,
+) -> EvaluationReport:
+    """Confusion-derived metrics with DANGEROUS as the positive class.
+
+    Instants where either stream is UNKNOWN are excluded from the counts
+    (and tallied in ``excluded_points``); with ``unknown_as_safe`` an
+    UNKNOWN prediction is instead counted as a SAFE call, while UNKNOWN
+    truth is always excluded.
+    """
+    return _report(_as_codes(predicted), _as_codes(truth), unknown_as_safe)
+
+
 def evaluate_source(
     predicted_g: TimeSeries | None,
     predicted_decisions: Sequence[Decision],
@@ -128,24 +138,19 @@ def evaluate_source(
     unknown_as_safe: bool = False,
 ) -> EvaluationReport:
     """Full report for one prediction source; ``predicted_g=None`` skips RMSE."""
-    report = classification_report(predicted_decisions, truth_decisions, unknown_as_safe)
-    if predicted_g is None:
-        return report
-    return replace(report, rmse=rmse(predicted_g, truth_g))
+    predicted, truth = _as_codes(predicted_decisions), _as_codes(truth_decisions)
+    return _report(predicted, truth, unknown_as_safe, predicted_g, truth_g)
 
 
 def evaluate_run(
-    trace: FusionTrace,
-    params: DangerParams = DangerParams(),
-    unknown_as_safe: bool = False,
+    trace: FusionTrace, unknown_as_safe: bool = False
 ) -> dict[str, EvaluationReport | None]:
     """Evaluate every sensor and fusion architecture against the tracker.
 
     Reads the per-sensor scores :func:`fuse_all` stored in the trace and
-    thresholds them with ``params``, which should be the parameters the
-    trace was fused with.  A source with no jointly classified instant
-    (e.g. a camera that never detected the obstacle) maps to ``None``
-    instead of a report.
+    thresholds them with the parameters the trace was fused with.  A
+    source with no jointly classified instant (e.g. a camera that never
+    detected the obstacle) maps to ``None`` instead of a report.
 
     Raises
     ------
@@ -155,20 +160,21 @@ def evaluate_run(
     truth_g = trace.sensor_g.get(TRACKER)
     if truth_g is None:
         raise ValueError("trace has no tracker scores to evaluate against")
-    truth = decisions_from_series(truth_g, params)
+    threshold = trace.params.threshold
+    truth = _decision_codes(truth_g.values, threshold)
     candidates = {
-        source: (g, decisions_from_series(g, params))
+        source: (g, _decision_codes(g.values, threshold))
         for source, g in trace.sensor_g.items()
         if source != TRACKER
     }
-    candidates[DISTANCE_FUSION] = (trace.g_distance_fusion, trace.decision_distance)
-    candidates[DANGER_FUSION] = (trace.g_danger_fusion, trace.decision_danger)
-    candidates[VOTING_FUSION] = (None, trace.decision_vote)
+    candidates[DISTANCE_FUSION] = (trace.g_distance_fusion, trace.distance_codes)
+    candidates[DANGER_FUSION] = (trace.g_danger_fusion, trace.danger_codes)
+    candidates[VOTING_FUSION] = (None, trace.vote_codes)
 
     reports: dict[str, EvaluationReport | None] = {}
-    for source, (g, decisions) in candidates.items():
+    for source, (g, codes) in candidates.items():
         try:
-            reports[source] = evaluate_source(g, decisions, truth_g, truth, unknown_as_safe)
+            reports[source] = _report(codes, truth, unknown_as_safe, g, truth_g)
         except InsufficientDataError:
             reports[source] = None
     return reports

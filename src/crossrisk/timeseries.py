@@ -22,6 +22,11 @@ class EmptyOverlapError(ValueError):
     """Raised when a resampling grid does not intersect the series span."""
 
 
+# Holds a day at 100 Hz (8.64e6 points).  `fuse` peaks near 330 bytes per grid
+# point (measured at 6e5 points), so a mistyped rate stops near 3 GiB, not 45.
+MAX_GRID_POINTS = 10_000_000
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     """``a`` as read-only float64, shared if it already is one and owns its data."""
     if isinstance(a, np.ndarray) and a.dtype == float and a.flags.owndata and not a.flags.writeable:
@@ -215,7 +220,8 @@ def align(
 
     The grid spans the union of the input time ranges at ``rate_hz``;
     every output series carries identical timestamps, with each channel
-    missing outside its own coverage.
+    missing outside its own coverage.  A grid of more than
+    ``MAX_GRID_POINTS`` instants is rejected before anything is allocated.
     """
     if not series_list:
         raise ValueError("series_list must not be empty")
@@ -223,6 +229,11 @@ def align(
         raise ValueError("rate_hz must be positive")
     start = min(s.span[0] for s in series_list)
     end = max(s.span[1] for s in series_list)
-    count = int(np.floor((end - start) * rate_hz + 1e-9)) + 1
-    grid = UniformGrid(start=start, rate_hz=rate_hz, count=count)
+    count = np.floor((end - start) * rate_hz + 1e-9) + 1
+    if count > MAX_GRID_POINTS:
+        raise ValueError(
+            f"resample_hz {rate_hz:g} over {end - start:g} s gives {count:.0f} grid "
+            f"points, more than the limit of {MAX_GRID_POINTS}"
+        )
+    grid = UniformGrid(start=start, rate_hz=rate_hz, count=int(count))
     return grid, [resample(s, grid, max_gap=max_gap) for s in series_list]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ SCENARIO = {
     "segments": [[2.5, 0.2], [2.0, -0.6], [1.5, 0.0]],
     "seed": 20240517,
 }
+SENSOR_HEADER = "timestamp,distance_range,distance_wheelchair,distance_drone,distance_tracker\n"
 
 
 @pytest.fixture
@@ -55,18 +57,17 @@ class TestRunConfig:
         assert config.max_gap_s == 0.5
 
     def test_nested_blocks(self):
-        config = run_config_from_dict(
-            {"resample_hz": 50.0, "danger": {"threshold": 1.5}, "crossing": {"road_width": 4.0, "crossing_speed": 0.8}}
-        )
+        config = run_config_from_dict({"resample_hz": 50.0, "danger": {"threshold": 1.5}})
         assert config.resample_hz == 50.0
         assert config.danger.threshold == 1.5
-        assert config.crossing.road_width == 4.0
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="resample_hz_typo"):
             run_config_from_dict({"resample_hz_typo": 10.0})
         with pytest.raises(ValueError, match="gstar"):
             run_config_from_dict({"danger": {"gstar": 2.0}})
+        with pytest.raises(ValueError, match="crossing"):
+            run_config_from_dict({"crossing": {"road_width": 4.0, "crossing_speed": 0.8}})
 
 
 class TestSensorCsv:
@@ -252,22 +253,44 @@ class TestCliCommands:
         assert main(["frobnicate"]) == 1
         assert main([]) == 1
 
-    def test_parallel_fuse_multiple_inputs(self, tmp_path, scenario_file):
+    def test_fuse_multiple_inputs(self, tmp_path, scenario_file, capsys):
         a, b = tmp_path / "run_a.csv", tmp_path / "run_b.csv"
         assert main(["simulate", str(scenario_file), str(a)]) == 0
         assert main(["simulate", str(scenario_file), str(b), "--seed", "99"]) == 0
         out_dir = tmp_path / "fused"
-        assert main(["fuse", str(a), str(b), str(out_dir), "--parallel-runs", "2"]) == 0
+        assert main(["fuse", str(a), str(b), str(out_dir)]) == 0
         assert (out_dir / "run_a_fused.csv").exists()
         assert (out_dir / "run_b_fused.csv").exists()
 
-    def test_parallel_evaluate_multiple_inputs(self, tmp_path, scenario_file, capsys):
+        # inputs run in order: a failing one is named and stops the later ones
+        bad = tmp_path / "run_bad.csv"
+        bad.write_text(SENSOR_HEADER + "0.0,2.0,,,2.0\n0.1,oops,,,2.0\n")
+        capsys.readouterr()
+        assert main(["fuse", str(bad), str(a), str(tmp_path / "after_bad")]) == 2
+        assert f"error: {bad}: row 3" in capsys.readouterr().err
+        assert not (tmp_path / "after_bad" / "run_a_fused.csv").exists()
+
+    def test_evaluate_multiple_inputs(self, tmp_path, scenario_file, capsys):
         a, b = tmp_path / "run_a.csv", tmp_path / "run_b.csv"
         assert main(["simulate", str(scenario_file), str(a)]) == 0
         assert main(["simulate", str(scenario_file), str(b), "--seed", "99"]) == 0
-        assert main(["evaluate", str(a), str(b), "--parallel-runs", "2"]) == 0
+        assert main(["evaluate", str(a), str(b)]) == 0
         out = capsys.readouterr().out
         assert out.count("Range sensors") == 2
+
+        bad = tmp_path / "run_bad.csv"
+        bad.write_text(SENSOR_HEADER + "0.0,2.0,,,2.0\n0.1,oops,,,2.0\n")
+        assert main(["evaluate", str(a), str(bad), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {bad}: row 3" in captured.err
+        assert captured.out == ""
+
+    def test_grid_over_the_point_limit_is_data_error(self, sensors_csv, capsys):
+        # rejected before the grid is allocated (it would take 44.7 GiB)
+        assert main(["--resample-hz", "1e9", "ingest", str(sensors_csv)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"resample_hz 1e\+09 over [0-9.]+ s gives \d{10} grid points", err)
+        assert str(sensors_csv) in err
 
     def test_config_file_flag(self, tmp_path, sensors_csv, capsys):
         config = tmp_path / "config.json"

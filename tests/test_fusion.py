@@ -12,10 +12,13 @@ from crossrisk import (
     TRACKER,
     DangerParams,
     Decision,
+    ScenarioConfig,
     SensorSet,
     danger_series,
+    decisions_from_series,
     fuse_all,
     fuse_distances,
+    generate_run,
 )
 
 from conftest import track_from_distances
@@ -229,3 +232,31 @@ class TestFuseAll:
         assert trace.available_count[0] == 3
         assert trace.available_count[10] == 2
         assert np.all(trace.available_count >= 1)
+
+    @pytest.mark.parametrize("params", [PARAMS, DangerParams(threshold=0.3)])
+    def test_decision_streams_decode_the_fused_scores(self, params):
+        run = generate_run(
+            ScenarioConfig(
+                duration=6.0,
+                initial_distance=4.0,
+                initial_speed=0.7,
+                segments=((2.5, 0.2), (2.0, -0.6), (1.5, 0.0)),
+                seed=5,
+            )
+        )
+        trace = fuse_all(run.sensors, params)
+        assert trace.params == params
+        streams = (trace.decision_distance, trace.decision_danger, trace.decision_vote)
+        for stream in streams:
+            assert type(stream) is tuple
+            assert all(type(d) is Decision for d in stream)
+        assert trace.decision_distance == decisions_from_series(trace.g_distance_fusion, params)
+        assert trace.decision_danger == decisions_from_series(trace.g_danger_fusion, params)
+        # absent sensors abstain, ties break toward DANGEROUS
+        assert trace.decision_vote == tuple(
+            Decision.UNKNOWN if cast == 0
+            else Decision.DANGEROUS if 2 * dangerous >= cast
+            else Decision.SAFE
+            for dangerous, cast in zip(trace.dangerous_votes, trace.votes_cast)
+        )
+        assert set(trace.decision_vote) == {Decision.SAFE, Decision.DANGEROUS, Decision.UNKNOWN}

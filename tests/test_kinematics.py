@@ -61,8 +61,12 @@ class TestDifferentiate:
         from crossrisk import UniformGrid
 
         series = series_on_grid([1.0, 2.0, 3.0], rate_hz=10.0)
-        with pytest.raises(ValueError):
-            differentiate(series, UniformGrid(start=0.0, rate_hz=100.0, count=3))
+        for grid in (
+            UniformGrid(start=0.0, rate_hz=100.0, count=3),  # other instants
+            UniformGrid(start=0.0, rate_hz=10.0, count=4),  # other length
+        ):
+            with pytest.raises(ValueError, match="does not lie on the track grid"):
+                differentiate(series, grid)
 
 
 class TestCrossingModel:
@@ -77,6 +81,13 @@ class TestCrossingModel:
             CrossingModel(road_width=0.0, crossing_speed=1.0)
         with pytest.raises(ValueError):
             CrossingModel(road_width=3.0, crossing_speed=0.0)
+
+    @pytest.mark.parametrize("field", ["road_width", "crossing_speed"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_non_finite_or_negative_field_named(self, field, value):
+        kwargs = {"road_width": 3.0, "crossing_speed": 1.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            CrossingModel(**kwargs)
 
 
 class TestObstacleDisplacement:

@@ -6,16 +6,25 @@ import numpy as np
 import pytest
 
 from crossrisk import (
+    DangerParams,
     Decision,
     InsufficientDataError,
     ScenarioConfig,
     classification_report,
+    danger_series,
+    decisions_from_series,
     evaluate_run,
+    evaluate_source,
     fuse_all,
     generate_run,
     rmse,
 )
-from crossrisk.metrics import EVALUATION_SOURCES, VOTING_FUSION
+from crossrisk.metrics import (
+    DANGER_FUSION,
+    DISTANCE_FUSION,
+    EVALUATION_SOURCES,
+    VOTING_FUSION,
+)
 
 from conftest import series_on_grid
 
@@ -178,6 +187,26 @@ class TestEvaluateRun:
         for source in EVALUATION_SOURCES:
             if source != VOTING_FUSION:
                 assert reports[source].rmse is not None
+
+    @pytest.mark.parametrize("unknown_as_safe", [False, True])
+    @pytest.mark.parametrize("params", [DangerParams(), DangerParams(threshold=0.3)])
+    def test_matches_evaluate_source(self, params, unknown_as_safe):
+        # the trace's own parameters threshold the scores, as the public path does
+        run = self.make_run(noiseless=False)
+        trace = fuse_all(run.sensors, params)
+        truth_g = danger_series(run.sensors.tracker(), params)
+        truth = decisions_from_series(truth_g, params)
+        candidates = {s: danger_series(t, params) for s, t in run.sensors.fusable().items()}
+        candidates[DISTANCE_FUSION] = trace.g_distance_fusion
+        candidates[DANGER_FUSION] = trace.g_danger_fusion
+        reports = evaluate_run(trace, unknown_as_safe)
+        assert set(reports) == set(EVALUATION_SOURCES)
+        for source, g in candidates.items():
+            decisions = decisions_from_series(g, params)
+            expected = evaluate_source(g, decisions, truth_g, truth, unknown_as_safe)
+            assert reports[source] == expected, source
+        expected = evaluate_source(None, trace.decision_vote, truth_g, truth, unknown_as_safe)
+        assert reports[VOTING_FUSION] == expected
 
     def test_perfect_sensors_score_perfectly(self):
         from crossrisk import CameraSensorModel, RangeSensorModel, RunConfig
