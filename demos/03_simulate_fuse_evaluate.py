@@ -38,7 +38,7 @@ print(f"simulated {scenario.duration} s -> {grid.count} grid points at {grid.rat
 print()
 print("=== per-sensor availability (camera dropout at long range) ===")
 for sensor_id, track in run.sensors.tracks.items():
-    present = track.distance.present_count()
+    present = np.count_nonzero(~np.isnan(track.distance))
     print(f"  {sensor_id:13s} {present:4d}/{grid.count} points with a distance")
 
 print()

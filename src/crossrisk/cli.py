@@ -13,6 +13,8 @@ import sys
 import traceback
 from pathlib import Path
 
+import numpy as np
+
 from . import io as crio
 from .config import RunConfig, load_run_config
 from .fusion import fuse_all, sensor_set_from_streams
@@ -92,7 +94,7 @@ def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
     grid = sensors.grid
     print(f"grid: start={grid.start:.6f} s, rate={grid.rate_hz:g} Hz, points={grid.count}")
     for sensor_id, track in sensors.tracks.items():
-        present = track.distance.present_count()
+        present = np.count_nonzero(~np.isnan(track.distance))
         print(f"{sensor_id:<13} {present}/{grid.count} distance points present")
     if sensors.tracker() is None:
         print("tracker: absent (fuse-only recording)", file=sys.stderr)

@@ -163,10 +163,8 @@ def decide(g: float | None, params: DangerParams = DangerParams()) -> Decision:
 
 def danger_series(track: KinematicTrack, params: DangerParams = DangerParams()) -> TimeSeries:
     """Danger score per grid point; missing wherever any kinematic input is missing."""
-    values = _danger_values(
-        track.distance.values, track.speed.values, track.acceleration.values, params
-    )
-    return track.distance.with_values(values)
+    values = _danger_values(track.distance, track.speed, track.acceleration, params)
+    return TimeSeries(track.grid.times(), values)
 
 
 def decisions_from_series(

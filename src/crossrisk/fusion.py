@@ -139,8 +139,8 @@ def fuse_distances(sensors: SensorSet) -> TimeSeries:
     tracks = list(sensors.fusable().values())
     if not tracks:
         raise ValueError("no fusable sensors")
-    stacked = np.vstack([t.distance.values for t in tracks])
-    return tracks[0].distance.with_values(_available_mean(stacked))
+    stacked = np.vstack([t.distance for t in tracks])
+    return TimeSeries(sensors.grid.times(), _available_mean(stacked))
 
 
 def fuse_all(
@@ -161,7 +161,7 @@ def fuse_all(
     sensor_g = {s: danger_series(t, params) for s, t in sensors.tracks.items()}
     fusable = sensors.fusable()
     stacked_g = np.vstack([sensor_g[s].values for s in fusable])
-    g_danger = distance_fused.with_values(_available_mean(stacked_g))
+    g_danger = TimeSeries(grid.times(), _available_mean(stacked_g))
 
     # each sensor votes its threshold decision; UNKNOWN abstains, ties go DANGEROUS
     codes = _decision_codes(stacked_g, params.threshold)
@@ -169,7 +169,7 @@ def fuse_all(
     cast = (codes != _UNKNOWN).sum(axis=0)
     vote = np.where(cast == 0, _UNKNOWN, 2 * dangerous >= cast)
 
-    available_count = np.sum([t.distance.present for t in fusable.values()], axis=0)
+    available_count = np.sum([~np.isnan(t.distance) for t in fusable.values()], axis=0)
     return FusionTrace(
         grid=grid,
         params=params,

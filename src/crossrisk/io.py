@@ -304,7 +304,10 @@ def write_fused_csv(
 
 
 def read_csv_columns(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Read any CSV as a header plus string columns (for melting)."""
+    """Read any CSV as a header plus string columns (for melting).
+
+    Blank lines are skipped; a row shorter than the header is an error.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -313,8 +316,14 @@ def read_csv_columns(path: str | Path) -> tuple[list[str], list[list[str]]]:
             raise SensorCsvError("empty file") from None
         columns: list[list[str]] = [[] for _ in header]
         for row in reader:
-            for i, cell in enumerate(row[: len(header)]):
-                columns[i].append(cell)
+            if len(row) < len(columns):
+                if not row:
+                    continue
+                raise SensorCsvError(
+                    f"line {reader.line_num}: {len(row)} fields, the header has {len(header)}"
+                )
+            for column, cell in zip(columns, row):
+                column.append(cell)
     return header, columns
 
 

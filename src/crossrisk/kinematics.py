@@ -16,30 +16,34 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .timeseries import TimeSeries, UniformGrid, smooth_trailing
+from .timeseries import TimeSeries, UniformGrid, _readonly, _trailing_mean
 
 
 @dataclass(frozen=True)
 class KinematicTrack:
     """Distance, closing speed and acceleration on one uniform grid.
 
-    Speed and acceleration are missing wherever their finite-difference
-    stencil touches a missing distance sample.
+    Each field is a read-only float array holding one value per instant
+    of ``grid.times()``; NaN marks a missing value.  Speed and
+    acceleration are missing wherever their finite-difference stencil
+    touches a missing distance sample.
     """
 
     grid: UniformGrid
-    distance: TimeSeries
-    speed: TimeSeries
-    acceleration: TimeSeries
+    distance: np.ndarray
+    speed: np.ndarray
+    acceleration: np.ndarray
 
     def __post_init__(self) -> None:
-        expected = self.grid.times()
         for name in ("distance", "speed", "acceleration"):
-            series: TimeSeries = getattr(self, name)
-            if len(series) != self.grid.count or not np.allclose(
-                series.times, expected, rtol=0.0, atol=1e-12
-            ):
-                raise ValueError(f"{name} series does not lie on the track grid")
+            values = _readonly(getattr(self, name))
+            if values.shape != (self.grid.count,):
+                raise ValueError(
+                    f"{name} has shape {values.shape}, the track grid needs ({self.grid.count},)"
+                )
+            if np.any(np.isinf(values)):
+                raise ValueError(f"{name} must not be infinite")
+            object.__setattr__(self, name, values)
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,9 @@ def differentiate(
 ) -> KinematicTrack:
     """Derive closing speed and acceleration from a gridded distance stream.
 
+    This is the one way from a :class:`TimeSeries` onto a track: the
+    series must lie on ``grid``.
+
     Backward first differences: ``speed[i] = (d[i-1] - d[i]) * rate`` and
     ``accel[i] = (speed[i] - speed[i-1]) * rate``, so the first one (resp.
     two) grid points are missing and any missing distance poisons the
@@ -77,21 +84,22 @@ def differentiate(
     """
     if smooth_window < 1:
         raise ValueError("smooth_window must be at least 1")
+    if len(distance) != grid.count or not np.allclose(
+        distance.times, grid.times(), rtol=0.0, atol=1e-12
+    ):
+        raise ValueError("distance series does not lie on the track grid")
     d = distance.values
     rate = grid.rate_hz
-    # sized by the series, so one off the grid reaches KinematicTrack's grid check
     speed = np.full(d.size, np.nan)
     accel = np.full(d.size, np.nan)
     if d.size > 1:
         speed[1:] = (d[:-1] - d[1:]) * rate
     if d.size > 2:
         accel[2:] = (speed[2:] - speed[1:-1]) * rate
-    speed_ts = distance.with_values(speed)
-    accel_ts = distance.with_values(accel)
     if smooth_window > 1:
-        speed_ts = smooth_trailing(speed_ts, smooth_window)
-        accel_ts = smooth_trailing(accel_ts, smooth_window)
-    return KinematicTrack(grid, distance, speed_ts, accel_ts)
+        speed = _trailing_mean(speed, smooth_window)
+        accel = _trailing_mean(accel, smooth_window)
+    return KinematicTrack(grid, d, speed, accel)
 
 
 def time_to_cross(model: CrossingModel) -> float:

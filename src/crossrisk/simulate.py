@@ -28,7 +28,7 @@ from .fusion import (
     sensor_set_from_streams,
 )
 from .kinematics import KinematicTrack
-from .timeseries import TimeSeries, UniformGrid
+from .timeseries import TimeSeries, UniformGrid, _is_positive_rate
 
 # Pinhole focal length in pixels for a 1280 px wide image with a 120 degree
 # horizontal field of view: (1280 / 2) / tan(60 deg).
@@ -189,9 +189,8 @@ def _truth_state(
     return distance, speed, a
 
 
-def _rate_times(start: float, end: float, rate_hz: float) -> np.ndarray:
-    count = int(np.floor((end - start) * rate_hz + 1e-9)) + 1
-    return start + np.arange(count) / rate_hz
+def _rate_grid(start: float, end: float, rate_hz: float) -> UniformGrid:
+    return UniformGrid(start, rate_hz, int(np.floor((end - start) * rate_hz + 1e-9)) + 1)
 
 
 def generate_truth(config: ScenarioConfig) -> KinematicTrack:
@@ -200,17 +199,11 @@ def generate_truth(config: ScenarioConfig) -> KinematicTrack:
     Raises if the configured motion drives the obstacle past the
     crossing point (negative distance) within the duration.
     """
-    times = _rate_times(0.0, config.duration, config.truth_rate_hz)
-    distance, speed, accel = _truth_state(config, times)
+    grid = _rate_grid(0.0, config.duration, config.truth_rate_hz)
+    distance, speed, accel = _truth_state(config, grid.times())
     if np.any(distance < -1e-9):
         raise ValueError("scenario drives the obstacle past the crossing point")
-    grid = UniformGrid(start=0.0, rate_hz=config.truth_rate_hz, count=times.size)
-    return KinematicTrack(
-        grid,
-        TimeSeries(times, np.maximum(distance, 0.0)),
-        TimeSeries(times, speed),
-        TimeSeries(times, accel),
-    )
+    return KinematicTrack(grid, np.maximum(distance, 0.0), speed, accel)
 
 
 def bbox_width_px(distance, model: CameraSensorModel):
@@ -247,11 +240,10 @@ def sample_sensor(
     always reports; a camera reports only while the obstacle is within
     its detection range, measuring through a noisy bounding-box width.
     """
-    if rate_hz <= 0:
-        raise ValueError("rate_hz must be positive")
-    t0, t1 = truth.distance.span
-    times = _rate_times(t0, t1, rate_hz)
-    true_d = np.interp(times, truth.distance.times, truth.distance.values)
+    if not _is_positive_rate(rate_hz):
+        raise ValueError(f"rate_hz must be a finite positive number, got {rate_hz!r}")
+    times = _rate_grid(truth.grid.start, truth.grid.end, rate_hz).times()
+    true_d = np.interp(times, truth.grid.times(), truth.distance)
     rng = np.random.default_rng(seed)
 
     if isinstance(model, RangeSensorModel):
@@ -318,7 +310,7 @@ def generate_run(
         raw[sensor_id] = sample_sensor(
             truth, models[sensor_id], getattr(config, rate_attr), child
         )
-    raw[TRACKER] = truth.distance
+    raw[TRACKER] = TimeSeries(truth.grid.times(), truth.distance)
 
     sensors = sensor_set_from_streams(
         raw,
@@ -328,16 +320,8 @@ def generate_run(
         derivative_smooth_window=cfg.smooth_window_derivative,
         max_gap=cfg.max_gap_s,
     )
-    grid = sensors.grid
-
-    grid_times = grid.times()
-    td, tv, ta = _truth_state(config, grid_times)
-    truth_track = KinematicTrack(
-        grid,
-        TimeSeries(grid_times, np.maximum(td, 0.0)),
-        TimeSeries(grid_times, tv),
-        TimeSeries(grid_times, ta),
-    )
+    td, tv, ta = _truth_state(config, sensors.grid.times())
+    truth_track = KinematicTrack(sensors.grid, np.maximum(td, 0.0), tv, ta)
     truth_g = danger_series(truth_track, cfg.danger)
     return SimulatedRun(
         config=config,

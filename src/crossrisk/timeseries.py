@@ -1,10 +1,11 @@
 """Timestamped scalar streams with first-class missing values.
 
-A :class:`TimeSeries` carries one sensor channel: strictly increasing
+A :class:`TimeSeries` carries one channel: strictly increasing
 timestamps plus one value per timestamp, where NaN marks an instant at
-which the sensor produced nothing.  All downstream stages (smoothing,
-resampling, differentiation, fusion) consume and return this type, so
-availability information survives the whole pipeline.
+which the sensor produced nothing.  Raw sensor streams and score series
+use this type; smoothing and resampling consume and return it.  A
+:class:`UniformGrid` owns the instants of the shared grid, and every
+series resampled onto it shares the grid's one timestamp array.
 
 Operations are pure: they never mutate their inputs and are safe to call
 concurrently.
@@ -12,8 +13,10 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import math
+import numbers
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -68,27 +71,6 @@ class TimeSeries:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, float | None]]) -> "TimeSeries":
-        """Build a series from ``(timestamp, value-or-None)`` pairs.
-
-        ``None`` marks a missing reading.  An explicit NaN value is
-        rejected: missing readings must be expressed as ``None``.
-        """
-        pairs = list(pairs)
-        if not pairs:
-            raise ValueError("at least one sample is required")
-        times = np.array([t for t, _ in pairs], dtype=float)
-        values = np.empty(len(pairs), dtype=float)
-        for i, (_, v) in enumerate(pairs):
-            if v is None:
-                values[i] = np.nan
-            elif isinstance(v, float) and np.isnan(v):
-                raise ValueError("use None for missing values, not NaN")
-            else:
-                values[i] = float(v)
-        return cls(times, values)
-
     def __len__(self) -> int:
         return int(self.times.size)
 
@@ -102,29 +84,38 @@ class TimeSeries:
         """First and last timestamp of the series."""
         return float(self.times[0]), float(self.times[-1])
 
-    def present_count(self) -> int:
-        return int(np.count_nonzero(self.present))
 
-    def with_values(self, values: np.ndarray) -> "TimeSeries":
-        """Same timestamps, new values."""
-        return TimeSeries(self.times, values)
+def _is_positive_rate(rate_hz) -> bool:
+    return isinstance(rate_hz, numbers.Real) and math.isfinite(rate_hz) and rate_hz > 0
 
 
 @dataclass(frozen=True)
 class UniformGrid:
-    """Uniform sampling grid: ``count`` instants from ``start`` at ``rate_hz``."""
+    """Uniform sampling grid: ``count`` instants from ``start`` at ``rate_hz``.
+
+    The grid owns its instants: :meth:`times` returns one read-only array,
+    built once, which every series on the grid shares.
+    """
 
     start: float
     rate_hz: float = 100.0
     count: int = 1
+    _times: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.start):
-            raise ValueError("grid start must be finite")
-        if self.rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
+        if not (isinstance(self.start, numbers.Real) and math.isfinite(self.start)):
+            raise ValueError(f"grid start must be finite, got {self.start!r}")
+        if not _is_positive_rate(self.rate_hz):
+            raise ValueError(f"rate_hz must be a finite positive number, got {self.rate_hz!r}")
+        if (
+            not isinstance(self.count, numbers.Integral)
+            or isinstance(self.count, bool)
+            or self.count < 1
+        ):
+            raise ValueError(f"count must be an integer of at least 1, got {self.count!r}")
+        times = self.start + np.arange(self.count) / self.rate_hz
+        times.setflags(write=False)
+        object.__setattr__(self, "_times", times)
 
     @property
     def step(self) -> float:
@@ -135,7 +126,7 @@ class UniformGrid:
         return self.start + (self.count - 1) / self.rate_hz
 
     def times(self) -> np.ndarray:
-        return self.start + np.arange(self.count) / self.rate_hz
+        return self._times
 
 
 def smooth_trailing(series: TimeSeries, window: int) -> TimeSeries:
@@ -155,16 +146,21 @@ def smooth_trailing(series: TimeSeries, window: int) -> TimeSeries:
     """
     if window < 1:
         raise ValueError("window must be at least 1")
-    present = series.present
-    out = np.full(len(series), np.nan)
-    pv = series.values[present]
+    return TimeSeries(series.times, _trailing_mean(series.values, window))
+
+
+def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
+    """Kernel of :func:`smooth_trailing` over a plain array (NaN = missing)."""
+    present = ~np.isnan(values)
+    out = np.full(values.size, np.nan)
+    pv = values[present]
     if pv.size:
         sums = pv.copy()
         for k in range(1, min(window, pv.size)):
             sums[k:] += pv[: pv.size - k]
         counts = np.minimum(np.arange(1, pv.size + 1), window)
         out[present] = sums / counts
-    return series.with_values(out)
+    return out
 
 
 def resample(series: TimeSeries, grid: UniformGrid, max_gap: float = 0.5) -> TimeSeries:
@@ -188,7 +184,6 @@ def resample(series: TimeSeries, grid: UniformGrid, max_gap: float = 0.5) -> Tim
             f"grid [{grid.start}, {grid.end}] does not overlap series span [{t0}, {t1}]"
         )
     target = grid.times()
-    target.setflags(write=False)  # shared, not copied, by the output series
     out = np.full(grid.count, np.nan)
     present = series.present
     tp = series.times[present]
@@ -225,8 +220,8 @@ def align(
     """
     if not series_list:
         raise ValueError("series_list must not be empty")
-    if rate_hz <= 0:
-        raise ValueError("rate_hz must be positive")
+    if not _is_positive_rate(rate_hz):
+        raise ValueError(f"resample_hz must be a finite positive number, got {rate_hz!r}")
     start = min(s.span[0] for s in series_list)
     end = max(s.span[1] for s in series_list)
     count = np.floor((end - start) * rate_hz + 1e-9) + 1

@@ -246,6 +246,18 @@ class TestCliCommands:
         assert main(["plotdata", str(empty), str(out)]) == 0
         assert out.read_text() == "timestamp,series,value\n"
 
+    def test_plotdata_short_row_is_data_error(self, tmp_path, capsys):
+        # a short row used to shift its cells onto later rows' timestamps
+        trace = tmp_path / "trace.csv"
+        trace.write_text("timestamp,a,b\n0,1,2\n\n1,3\n2,5,6\n")
+        out = tmp_path / "plot.csv"
+        assert main(["plotdata", str(trace), str(out)]) == 2
+        assert "line 4: 2 fields, the header has 3" in capsys.readouterr().err
+        assert not out.exists()
+        trace.write_text("timestamp,a,b\n0,1,2\n\n1,3,4,extra\n")
+        assert main(["plotdata", str(trace), str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == ["0,a,1", "1,a,3", "0,b,2", "1,b,4"]
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["fuse", str(tmp_path / "nope.csv"), str(tmp_path / "out.csv")]) == 2
 
@@ -378,8 +390,8 @@ class TestCliCommands:
         raw = generate_run(config, models).raw_streams
         read = read_sensor_csv(recording)
         for sensor_id, stream in raw.items():
-            present = read[sensor_id].present_count()
-            assert present == stream.present_count()
+            present = np.count_nonzero(read[sensor_id].present)
+            assert present == np.count_nonzero(stream.present)
             # every sample sits on a row whose timestamp prints as its own
             t = read[sensor_id].times[~np.isnan(read[sensor_id].values)]
             np.testing.assert_allclose(t, stream.times[~np.isnan(stream.values)], atol=6e-7)

@@ -11,7 +11,6 @@ from crossrisk import (
     DangerParams,
     Decision,
     KinematicTrack,
-    TimeSeries,
     UniformGrid,
     accel_transform,
     danger_series,
@@ -179,9 +178,9 @@ class TestDangerTrack:
         g = series.values
         decisions = decisions_from_series(series)
         for i in range(track.grid.count):
-            d = track.distance.values[i]
-            v = track.speed.values[i]
-            a = track.acceleration.values[i]
+            d = track.distance[i]
+            v = track.speed[i]
+            a = track.acceleration[i]
             if np.isnan(v) or np.isnan(a):
                 assert np.isnan(g[i]) and decisions[i] is Decision.UNKNOWN
             else:
@@ -198,11 +197,5 @@ class TestDangerTrack:
         baseline = decisions_from_series(danger_series(track))
 
         warped_grid = UniformGrid(start=5.0, rate_hz=3.0, count=60)
-        warped_times = warped_grid.times()
-        warped = KinematicTrack(
-            warped_grid,
-            TimeSeries(warped_times, track.distance.values),
-            TimeSeries(warped_times, track.speed.values),
-            TimeSeries(warped_times, track.acceleration.values),
-        )
+        warped = KinematicTrack(warped_grid, track.distance, track.speed, track.acceleration)
         assert decisions_from_series(danger_series(warped)) == baseline

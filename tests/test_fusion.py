@@ -246,6 +246,11 @@ class TestFuseAll:
         )
         trace = fuse_all(run.sensors, params)
         assert trace.params == params
+        # every series of the trace shares the grid's one timestamp array
+        times = trace.grid.times()
+        on_grid = [*trace.sensor_g.values(), trace.distance_fused, trace.g_distance_fusion,
+                   trace.g_danger_fusion]
+        assert all(series.times is times for series in on_grid)
         streams = (trace.decision_distance, trace.decision_danger, trace.decision_vote)
         for stream in streams:
             assert type(stream) is tuple

@@ -7,6 +7,7 @@ import pytest
 
 from crossrisk import (
     CrossingModel,
+    KinematicTrack,
     differentiate,
     kinematic_safety_check,
     numeric_collision_check,
@@ -20,42 +21,42 @@ from conftest import series_on_grid, track_from_distances
 class TestDifferentiate:
     def test_constant_distance(self):
         track = track_from_distances(np.full(50, 2.0), smooth_window=5)
-        assert np.allclose(track.speed.values[1:], 0.0)
-        assert np.allclose(track.acceleration.values[2:], 0.0)
-        assert np.isnan(track.speed.values[0])
-        assert np.isnan(track.acceleration.values[:2]).all()
+        assert np.allclose(track.speed[1:], 0.0)
+        assert np.allclose(track.acceleration[2:], 0.0)
+        assert np.isnan(track.speed[0])
+        assert np.isnan(track.acceleration[:2]).all()
 
     def test_uniform_approach(self):
         rate = 100.0
         t = np.arange(100) / rate
         track = track_from_distances(2.0 - t, rate, smooth_window=5)
-        assert np.allclose(track.speed.values[1:], 1.0, atol=1e-6)
-        assert np.allclose(track.acceleration.values[2:], 0.0, atol=1e-6)
+        assert np.allclose(track.speed[1:], 1.0, atol=1e-6)
+        assert np.allclose(track.acceleration[2:], 0.0, atol=1e-6)
 
     def test_quadratic_approach(self):
         rate = 100.0
         t = np.arange(200) / rate
         track = track_from_distances(2.0 - t * t / 2.0, rate, smooth_window=1)
-        defined = ~np.isnan(track.speed.values)
-        assert np.all(np.abs(track.speed.values[defined] - t[defined]) <= 2.0 / rate)
-        defined_a = ~np.isnan(track.acceleration.values)
-        assert np.allclose(track.acceleration.values[defined_a], 1.0, atol=1e-9)
+        defined = ~np.isnan(track.speed)
+        assert np.all(np.abs(track.speed[defined] - t[defined]) <= 2.0 / rate)
+        defined_a = ~np.isnan(track.acceleration)
+        assert np.allclose(track.acceleration[defined_a], 1.0, atol=1e-9)
 
     def test_missing_distance_poisons_stencil(self):
         values = np.linspace(3.0, 2.0, 20)
         values[7] = np.nan
         track = track_from_distances(values, smooth_window=1)
-        assert np.isnan(track.speed.values[7])
-        assert np.isnan(track.speed.values[8])
-        assert not np.isnan(track.speed.values[9])
-        assert np.isnan(track.acceleration.values[7:10]).all()
-        assert not np.isnan(track.acceleration.values[10])
+        assert np.isnan(track.speed[7])
+        assert np.isnan(track.speed[8])
+        assert not np.isnan(track.speed[9])
+        assert np.isnan(track.acceleration[7:10]).all()
+        assert not np.isnan(track.acceleration[10])
 
     def test_too_few_present_points_all_missing(self):
         values = np.array([1.0, np.nan, 2.0, np.nan, 3.0])
         track = track_from_distances(values, smooth_window=1)
-        assert np.isnan(track.speed.values).all()
-        assert np.isnan(track.acceleration.values).all()
+        assert np.isnan(track.speed).all()
+        assert np.isnan(track.acceleration).all()
 
     def test_requires_grid_match(self):
         from crossrisk import UniformGrid
@@ -67,6 +68,21 @@ class TestDifferentiate:
         ):
             with pytest.raises(ValueError, match="does not lie on the track grid"):
                 differentiate(series, grid)
+
+    def test_zero_smooth_window_rejected(self):
+        with pytest.raises(ValueError, match="smooth_window"):
+            track_from_distances(np.full(5, 2.0), smooth_window=0)
+
+
+class TestKinematicTrack:
+    @pytest.mark.parametrize("field", ["distance", "speed", "acceleration"])
+    def test_field_of_wrong_shape_named(self, field):
+        track = track_from_distances(np.linspace(3.0, 2.0, 5))
+        fields = {name: getattr(track, name) for name in ("distance", "speed", "acceleration")}
+        assert not any(values.flags.writeable for values in fields.values())
+        for wrong in (np.zeros(4), np.zeros((1, 5))):
+            with pytest.raises(ValueError, match=f"^{field} has shape"):
+                KinematicTrack(track.grid, **{**fields, field: wrong})
 
 
 class TestCrossingModel:

@@ -54,18 +54,18 @@ class TestGenerateTruth:
     def test_uniform_motion_reaches_zero_exactly(self):
         config = ScenarioConfig(duration=5.0, initial_distance=2.5, initial_speed=0.5)
         truth = generate_truth(config)
-        assert truth.distance.values[-1] == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(truth.speed.values, 0.5)
-        assert np.allclose(truth.acceleration.values, 0.0)
+        assert truth.distance[-1] == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(truth.speed, 0.5)
+        assert np.allclose(truth.acceleration, 0.0)
 
     def test_pure_acceleration_profile(self):
         config = ScenarioConfig(
             duration=2.0, initial_distance=3.0, initial_speed=0.0, segments=((2.0, 1.0),)
         )
         truth = generate_truth(config)
-        t = truth.distance.times
-        assert np.allclose(truth.distance.values, 3.0 - t * t / 2.0, atol=1e-12)
-        assert np.allclose(truth.speed.values, t, atol=1e-12)
+        t = truth.grid.times()
+        assert np.allclose(truth.distance, 3.0 - t * t / 2.0, atol=1e-12)
+        assert np.allclose(truth.speed, t, atol=1e-12)
 
     def test_braking_holds_distance_after_stop(self):
         config = ScenarioConfig(
@@ -77,10 +77,10 @@ class TestGenerateTruth:
         truth = generate_truth(config)
         stop_time = 1.0 / 0.5  # closed-form v / |a|
         stop_distance = 3.0 - (1.0 * stop_time - 0.25 * stop_time**2)
-        after = truth.distance.times > stop_time
-        assert np.allclose(truth.distance.values[after], stop_distance, atol=1e-12)
-        assert np.allclose(truth.speed.values[after], 0.0)
-        assert np.allclose(truth.acceleration.values[after], 0.0)
+        after = truth.grid.times() > stop_time
+        assert np.allclose(truth.distance[after], stop_distance, atol=1e-12)
+        assert np.allclose(truth.speed[after], 0.0)
+        assert np.allclose(truth.acceleration[after], 0.0)
 
     def test_speed_never_negative(self):
         config = ScenarioConfig(
@@ -90,7 +90,7 @@ class TestGenerateTruth:
             segments=((2.0, 0.3), (2.0, -1.0), (2.0, 0.5)),
         )
         truth = generate_truth(config)
-        assert np.all(truth.speed.values >= 0.0)
+        assert np.all(truth.speed >= 0.0)
 
     def test_distance_piecewise_smooth(self):
         config = ScenarioConfig(
@@ -100,10 +100,10 @@ class TestGenerateTruth:
             segments=((2.0, 0.3), (2.0, -1.0), (2.0, 0.5)),
         )
         truth = generate_truth(config)
-        d = truth.distance.values
+        d = truth.distance
         rate = config.truth_rate_hz
         numeric_v = (d[:-1] - d[1:]) * rate
-        analytic_v = truth.speed.values
+        analytic_v = truth.speed
         mid = 0.5 * (analytic_v[:-1] + analytic_v[1:])
         assert np.max(np.abs(numeric_v - mid)) < 2.0 / rate
 
@@ -148,22 +148,27 @@ class TestSampleSensor:
         ScenarioConfig(duration=5.0, initial_distance=4.0, initial_speed=0.5)
     )
 
+    @pytest.mark.parametrize("rate_hz", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_rate_named(self, rate_hz):
+        with pytest.raises(ValueError, match="rate_hz"):
+            sample_sensor(self.TRUTH, RangeSensorModel(), rate_hz)
+
     def test_zero_noise_range_sensor_exact(self):
         out = sample_sensor(self.TRUTH, RangeSensorModel(relative_noise=0.0), 10.0, seed=1)
-        expected = np.interp(out.times, self.TRUTH.distance.times, self.TRUTH.distance.values)
+        expected = np.interp(out.times, self.TRUTH.grid.times(), self.TRUTH.distance)
         assert np.array_equal(out.values, expected)
         assert out.present.all()
 
     def test_zero_noise_camera_within_range(self):
         model = CameraSensorModel(detection_range=float("inf"), pixel_noise_sigma=0.0)
         out = sample_sensor(self.TRUTH, model, 30.0, seed=1)
-        expected = np.interp(out.times, self.TRUTH.distance.times, self.TRUTH.distance.values)
+        expected = np.interp(out.times, self.TRUTH.grid.times(), self.TRUTH.distance)
         assert np.allclose(out.values, expected, rtol=1e-12)
 
     def test_camera_dropout_beyond_detection_range(self):
         model = CameraSensorModel(detection_range=2.5, pixel_noise_sigma=0.0)
         out = sample_sensor(self.TRUTH, model, 30.0, seed=1)
-        true_d = np.interp(out.times, self.TRUTH.distance.times, self.TRUTH.distance.values)
+        true_d = np.interp(out.times, self.TRUTH.grid.times(), self.TRUTH.distance)
         assert np.array_equal(out.present, true_d <= 2.5)
         assert not out.present[0]  # obstacle starts at 4 m
         assert out.present[-1]

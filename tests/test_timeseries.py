@@ -20,19 +20,10 @@ def nan_equal(a, b, atol=0.0):
 
 
 class TestTimeSeries:
-    def test_from_pairs_missing_is_none(self):
-        s = TimeSeries.from_pairs([(0.0, 1.0), (1.0, None), (2.0, 3.0)])
+    def test_nan_marks_missing(self):
+        s = TimeSeries([0.0, 1.0, 2.0], [1.0, np.nan, 3.0])
         assert nan_equal(s.values, [1.0, np.nan, 3.0])
         assert s.present.tolist() == [True, False, True]
-        assert s.present_count() == 2
-
-    def test_from_pairs_rejects_empty(self):
-        with pytest.raises(ValueError):
-            TimeSeries.from_pairs([])
-
-    def test_from_pairs_rejects_nan_value(self):
-        with pytest.raises(ValueError, match="None for missing"):
-            TimeSeries.from_pairs([(0.0, float("nan"))])
 
     def test_rejects_non_monotone_timestamps(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -55,11 +46,26 @@ class TestUniformGrid:
         grid = UniformGrid(start=1.0, rate_hz=4.0, count=5)
         assert np.allclose(grid.times(), [1.0, 1.25, 1.5, 1.75, 2.0])
         assert grid.end == 2.0
+        assert grid.times() is grid.times() and not grid.times().flags.writeable
+        assert grid == UniformGrid(start=1.0, rate_hz=4.0, count=5)
 
-    @pytest.mark.parametrize("kwargs", [dict(rate_hz=0.0), dict(rate_hz=-1.0), dict(count=0)])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(rate_hz=0.0),
+            dict(rate_hz=-1.0),
+            dict(count=0),
+            dict(rate_hz=np.nan),
+            dict(rate_hz=np.inf),
+            dict(count=2.5),
+            dict(count=True),
+            dict(start=np.nan),
+        ],
+    )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            UniformGrid(start=0.0, **{"rate_hz": 10.0, "count": 3, **kwargs})
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
+            UniformGrid(**{"start": 0.0, "rate_hz": 10.0, "count": 3, **kwargs})
 
 
 class TestSmoothTrailing:
@@ -120,29 +126,29 @@ class TestSmoothTrailing:
 
 class TestResample:
     def test_linear_interpolation(self):
-        s = TimeSeries.from_pairs([(0.0, 0.0), (1.0, 2.0)])
+        s = TimeSeries([0.0, 1.0], [0.0, 2.0])
         out = resample(s, UniformGrid(start=0.0, rate_hz=4.0, count=5), max_gap=1.0)
         assert nan_equal(out.values, [0.0, 0.5, 1.0, 1.5, 2.0])
 
     def test_constant_preserved(self):
-        s = TimeSeries.from_pairs([(0.0, 7.0), (0.3, 7.0), (1.1, 7.0)])
+        s = TimeSeries([0.0, 0.3, 1.1], [7.0, 7.0, 7.0])
         out = resample(s, UniformGrid(start=0.0, rate_hz=10.0, count=11), max_gap=2.0)
         assert nan_equal(out.values, np.full(11, 7.0))
 
     def test_long_gap_not_bridged(self):
-        s = TimeSeries.from_pairs([(0.0, 1.0), (1.0, None), (2.0, 1.0)])
+        s = TimeSeries([0.0, 1.0, 2.0], [1.0, np.nan, 1.0])
         out = resample(s, UniformGrid(start=0.0, rate_hz=4.0, count=9), max_gap=0.5)
         inside = (out.times > 0.0) & (out.times < 2.0)
         assert np.all(np.isnan(out.values[inside]))
         assert out.values[0] == 1.0 and out.values[-1] == 1.0
 
     def test_outside_span_missing(self):
-        s = TimeSeries.from_pairs([(1.0, 1.0), (2.0, 2.0)])
+        s = TimeSeries([1.0, 2.0], [1.0, 2.0])
         out = resample(s, UniformGrid(start=0.0, rate_hz=1.0, count=4), max_gap=2.0)
         assert nan_equal(out.values, [np.nan, 1.0, 2.0, np.nan])
 
     def test_empty_overlap_raises(self):
-        s = TimeSeries.from_pairs([(0.0, 1.0), (1.0, 2.0)])
+        s = TimeSeries([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(EmptyOverlapError):
             resample(s, UniformGrid(start=5.0, rate_hz=1.0, count=3))
 
@@ -176,16 +182,16 @@ class TestAlign:
         assert nan_equal(aligned[0].values, [1.0, 2.0, 3.0])
 
     def test_union_span(self):
-        a = TimeSeries.from_pairs([(0.0, 1.0), (1.0, 1.0)])
-        b = TimeSeries.from_pairs([(0.5, 2.0), (1.5, 2.0)])
+        a = TimeSeries([0.0, 1.0], [1.0, 1.0])
+        b = TimeSeries([0.5, 1.5], [2.0, 2.0])
         grid, aligned = align([a, b], 2.0)
         assert grid.count == 4
         assert np.allclose(grid.times(), [0.0, 0.5, 1.0, 1.5])
         assert all(np.array_equal(s.times, grid.times()) for s in aligned)
 
     def test_disjoint_spans(self):
-        a = TimeSeries.from_pairs([(0.0, 1.0), (1.0, 1.0)])
-        b = TimeSeries.from_pairs([(3.0, 2.0), (4.0, 2.0)])
+        a = TimeSeries([0.0, 1.0], [1.0, 1.0])
+        b = TimeSeries([3.0, 4.0], [2.0, 2.0])
         grid, (ra, rb) = align([a, b], 1.0)
         assert np.isnan(ra.values[grid.times() > 1.0]).all()
         assert np.isnan(rb.values[grid.times() < 3.0]).all()
@@ -204,3 +210,8 @@ class TestAlign:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             align([], 10.0)
+
+    @pytest.mark.parametrize("rate_hz", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_rate_names_resample_hz(self, rate_hz):
+        with pytest.raises(ValueError, match="resample_hz"):
+            align([series_on_grid([1.0, 2.0])], rate_hz)
