@@ -27,7 +27,6 @@ from .fusion import (
     FusionTrace,
     SensorSet,
     fuse_all,
-    fuse_distances,
     sensor_set_from_streams,
 )
 from .kinematics import (
@@ -37,7 +36,6 @@ from .kinematics import (
     differentiate,
     kinematic_safety_check,
     numeric_collision_check,
-    obstacle_displacement,
     time_to_cross,
 )
 from .metrics import (
@@ -60,6 +58,7 @@ from .simulate import (
     load_scenario,
     sample_sensor,
     scenario_from_dict,
+    simulate_recording,
 )
 from .timeseries import (
     EmptyOverlapError,

@@ -19,7 +19,7 @@ from . import io as crio
 from .config import RunConfig, load_run_config
 from .fusion import fuse_all, sensor_set_from_streams
 from .metrics import EVALUATION_SOURCES, evaluate_run
-from .simulate import generate_run, load_scenario
+from .simulate import load_scenario, simulate_recording
 from .timeseries import EmptyOverlapError
 
 USAGE_ERROR = 1
@@ -105,8 +105,7 @@ def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
     scenario, models = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
-    run = generate_run(scenario, models, run_config=config)
-    crio.write_sensor_csv(args.output, run.raw_streams)
+    crio.write_sensor_csv(args.output, simulate_recording(scenario, models))
     return 0
 
 

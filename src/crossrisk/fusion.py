@@ -125,22 +125,13 @@ def sensor_set_from_streams(
     return SensorSet(grid, tracks)
 
 
-def _available_mean(stacked: np.ndarray) -> np.ndarray:
-    """Row-wise mean over non-missing entries; NaN where none are present."""
+def _available_mean(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise mean over non-missing entries (NaN where none) and their count."""
     present = ~np.isnan(stacked)
     counts = present.sum(axis=0)
     sums = np.where(present, stacked, 0.0).sum(axis=0)
     with np.errstate(invalid="ignore"):
-        return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-
-
-def fuse_distances(sensors: SensorSet) -> TimeSeries:
-    """Average the available sensors' distances at each instant."""
-    tracks = list(sensors.fusable().values())
-    if not tracks:
-        raise ValueError("no fusable sensors")
-    stacked = np.vstack([t.distance for t in tracks])
-    return TimeSeries(sensors.grid.times(), _available_mean(stacked))
+        return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan), counts
 
 
 def fuse_all(
@@ -150,26 +141,28 @@ def fuse_all(
 ) -> FusionTrace:
     """Run all three fusion architectures over one sensor set.
 
-    The fused distance goes through the same differentiation used for the
-    single sensors before being scored, so the distance-fusion decision
-    stream is produced by one ordinary pipeline run on averaged input.
+    The available sensors' mean distance goes through the same
+    differentiation used for the single sensors before being scored, so
+    the distance-fusion decision stream is produced by one ordinary
+    pipeline run on averaged input.
     """
     grid = sensors.grid
-    distance_fused = fuse_distances(sensors)
+    fusable = sensors.fusable()
+    if not fusable:
+        raise ValueError("no fusable sensors")
+    fused_d, available_count = _available_mean(np.vstack([t.distance for t in fusable.values()]))
+    distance_fused = TimeSeries(grid.times(), fused_d)
     fused_track = differentiate(distance_fused, grid, smooth_window=derivative_smooth_window)
     g_distance = danger_series(fused_track, params)
     sensor_g = {s: danger_series(t, params) for s, t in sensors.tracks.items()}
-    fusable = sensors.fusable()
     stacked_g = np.vstack([sensor_g[s].values for s in fusable])
-    g_danger = TimeSeries(grid.times(), _available_mean(stacked_g))
+    g_danger = TimeSeries(grid.times(), _available_mean(stacked_g)[0])
 
     # each sensor votes its threshold decision; UNKNOWN abstains, ties go DANGEROUS
     codes = _decision_codes(stacked_g, params.threshold)
     dangerous = (codes == _DANGEROUS).sum(axis=0)
     cast = (codes != _UNKNOWN).sum(axis=0)
     vote = np.where(cast == 0, _UNKNOWN, 2 * dangerous >= cast)
-
-    available_count = np.sum([~np.isnan(t.distance) for t in fusable.values()], axis=0)
     return FusionTrace(
         grid=grid,
         params=params,

@@ -107,13 +107,6 @@ def time_to_cross(model: CrossingModel) -> float:
     return model.road_width / model.crossing_speed
 
 
-def obstacle_displacement(closing_speed: float, acceleration: float, t: float) -> float:
-    """Distance covered by the obstacle after ``t`` seconds of uniform acceleration."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    return closing_speed * t + 0.5 * acceleration * t * t
-
-
 def kinematic_safety_check(
     model: CrossingModel, distance: float, closing_speed: float, acceleration: float
 ) -> SafetyCheck:

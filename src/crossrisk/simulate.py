@@ -28,7 +28,7 @@ from .fusion import (
     sensor_set_from_streams,
 )
 from .kinematics import KinematicTrack
-from .timeseries import TimeSeries, UniformGrid, _is_positive_rate
+from .timeseries import MAX_GRID_POINTS, TimeSeries, UniformGrid, _is_positive_rate
 
 # Pinhole focal length in pixels for a 1280 px wide image with a 120 degree
 # horizontal field of view: (1280 / 2) / tan(60 deg).
@@ -116,9 +116,16 @@ class ScenarioConfig:
             raise ValueError("initial_distance must be positive")
         if self.initial_speed < 0:
             raise ValueError("initial_speed must be non-negative")
-        for rate in (self.truth_rate_hz, self.rsu_rate_hz, self.camera_rate_hz):
+        for name in ("truth_rate_hz", "rsu_rate_hz", "camera_rate_hz"):
+            rate = getattr(self, name)
             if rate <= 0:
                 raise ValueError("sample rates must be positive")
+            count = np.floor(self.duration * rate + 1e-9) + 1  # checked before allocating
+            if count > MAX_GRID_POINTS:
+                raise ValueError(
+                    f"{name} {rate:g} over duration {self.duration:g} s gives {count:.0f} "
+                    f"samples, more than the limit of {MAX_GRID_POINTS}"
+                )
         segments = tuple((float(d), float(a)) for d, a in self.segments)
         if not all(math.isfinite(v) for segment in segments for v in segment):
             raise ValueError("segments must hold finite numbers")
@@ -290,28 +297,38 @@ class SimulatedRun:
     truth_decisions: tuple[Decision, ...]
 
 
+def simulate_recording(
+    config: ScenarioConfig, models: dict[str, SensorModel] | None = None
+) -> dict[str, TimeSeries]:
+    """Simulate one recording: every sensor's raw stream plus the tracker.
+
+    This is what ``crossrisk simulate`` writes.  Per-sensor seeds are
+    spawned deterministically from the scenario seed, so identical
+    inputs give bit-identical streams.
+    """
+    models = {**default_sensor_models(), **(models or {})}
+    truth = generate_truth(config)
+    children = np.random.SeedSequence(config.seed).spawn(len(SENSOR_RATE_KEYS))
+    raw = {
+        sensor_id: sample_sensor(truth, models[sensor_id], getattr(config, rate_attr), child)
+        for (sensor_id, rate_attr), child in zip(SENSOR_RATE_KEYS, children)
+    }
+    raw[TRACKER] = TimeSeries(truth.grid.times(), truth.distance)
+    return raw
+
+
 def generate_run(
     config: ScenarioConfig,
     models: dict[str, SensorModel] | None = None,
     run_config: RunConfig | None = None,
 ) -> SimulatedRun:
-    """Simulate one run and push it through the full processing pipeline.
+    """Simulate one recording and put it through the processing pipeline.
 
-    Per-sensor seeds are spawned deterministically from the scenario
-    seed, so identical inputs give bit-identical outputs.
+    The recording of :func:`simulate_recording` is ingested as ``ingest``
+    would ingest it, and the closed-form truth is evaluated on its grid.
     """
-    models = {**default_sensor_models(), **(models or {})}
     cfg = RunConfig() if run_config is None else run_config
-    truth = generate_truth(config)
-
-    children = np.random.SeedSequence(config.seed).spawn(len(SENSOR_RATE_KEYS))
-    raw: dict[str, TimeSeries] = {}
-    for (sensor_id, rate_attr), child in zip(SENSOR_RATE_KEYS, children):
-        raw[sensor_id] = sample_sensor(
-            truth, models[sensor_id], getattr(config, rate_attr), child
-        )
-    raw[TRACKER] = TimeSeries(truth.grid.times(), truth.distance)
-
+    raw = simulate_recording(config, models)
     sensors = sensor_set_from_streams(
         raw,
         resample_hz=cfg.resample_hz,

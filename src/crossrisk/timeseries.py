@@ -118,10 +118,6 @@ class UniformGrid:
         object.__setattr__(self, "_times", times)
 
     @property
-    def step(self) -> float:
-        return 1.0 / self.rate_hz
-
-    @property
     def end(self) -> float:
         return self.start + (self.count - 1) / self.rate_hz
 

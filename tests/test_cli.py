@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crossrisk.simulate
 from crossrisk import (
     RunConfig,
     ScenarioConfig,
@@ -31,6 +33,7 @@ SCENARIO = {
     "segments": [[2.5, 0.2], [2.0, -0.6], [1.5, 0.0]],
     "seed": 20240517,
 }
+GOLDEN_SCENARIO = Path(__file__).parent / "golden" / "braking_scenario.json"
 SENSOR_HEADER = "timestamp,distance_range,distance_wheelchair,distance_drone,distance_tracker\n"
 
 
@@ -375,6 +378,53 @@ class TestCliCommands:
         scenario.write_text(json.dumps({**SCENARIO, **override}))
         assert main(["simulate", str(scenario), str(tmp_path / "out.csv")]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"truth_rate_hz": 1e12}, "truth_rate_hz"),
+            ({"rsu_rate_hz": 1e12}, "rsu_rate_hz"),
+            ({"camera_rate_hz": 1e12}, "camera_rate_hz"),
+            ({"duration": 1e12, "segments": []}, "duration 1e+12 s"),
+        ],
+    )
+    def test_oversized_scenario_is_data_error(self, tmp_path, capsys, override, field):
+        # refused before the samples are allocated (tens of TiB)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({**SCENARIO, **override}))
+        assert main(["simulate", str(scenario), str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "more than the limit of 10000000" in err
+        assert "Traceback" not in err
+
+    def test_simulate_runs_no_pipeline_stage(self, tmp_path, monkeypatch):
+        config, models = load_scenario(GOLDEN_SCENARIO)
+        expected = tmp_path / "expected.csv"
+        write_sensor_csv(expected, generate_run(config, models).raw_streams)
+
+        def stage(*args, **kwargs):
+            raise AssertionError("simulate ran a pipeline stage")
+
+        monkeypatch.setattr(crossrisk.simulate, "sensor_set_from_streams", stage)
+        monkeypatch.setattr(crossrisk.simulate, "danger_series", stage)
+        out = tmp_path / "out.csv"
+        assert main(["simulate", str(GOLDEN_SCENARIO), str(out)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_pipeline_settings_do_not_shape_simulate(self, tmp_path, capsys):
+        default = tmp_path / "default.csv"
+        assert main(["simulate", str(GOLDEN_SCENARIO), str(default)]) == 0
+        # the grid rate is the pipeline's: the recording is the same bytes
+        fine = tmp_path / "fine.csv"
+        assert main(["--resample-hz", "1e9", "simulate", str(GOLDEN_SCENARIO), str(fine)]) == 0
+        assert fine.read_bytes() == default.read_bytes()
+        # but the settings are still parsed and validated
+        assert main(["--resample-hz", "nan", "simulate", str(GOLDEN_SCENARIO), str(fine)]) == 2
+        assert "resample_hz must be a finite number" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"smooth_window_rsu": 2.5}))
+        assert main(["--config", str(config), "simulate", str(GOLDEN_SCENARIO), str(fine)]) == 2
+        assert "smooth_window_rsu must be an integer" in capsys.readouterr().err
 
     def test_simulate_ingest_round_trip_with_colliding_rates(self, tmp_path):
         # k / 1000.3 and k / 1000 are distinct instants that print alike

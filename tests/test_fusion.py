@@ -17,7 +17,6 @@ from crossrisk import (
     danger_series,
     decisions_from_series,
     fuse_all,
-    fuse_distances,
     generate_run,
 )
 
@@ -50,8 +49,13 @@ class TestSensorSet:
         sensors = sensor_set(
             {RSU: np.full(10, 2.0), TRACKER: np.full(10, 9.0)}
         )
-        fused = fuse_distances(sensors)
+        fused = fuse_all(sensors).distance_fused
         assert np.allclose(fused.values, 2.0)
+
+    def test_tracker_only_set_has_nothing_to_fuse(self):
+        sensors = sensor_set({TRACKER: np.full(10, 9.0)})
+        with pytest.raises(ValueError, match="no fusable sensors"):
+            fuse_all(sensors)
 
 
 class TestDistanceFusion:
@@ -59,21 +63,21 @@ class TestDistanceFusion:
         sensors = sensor_set(
             {RSU: np.full(5, 2.0), CAMERA_AW: np.full(5, 2.2), CAMERA_DRONE: np.full(5, 2.4)}
         )
-        assert np.allclose(fuse_distances(sensors).values, 2.2)
+        assert np.allclose(fuse_all(sensors).distance_fused.values, 2.2)
 
     def test_single_available_sensor(self):
         cam = np.full(5, np.nan)
         sensors = sensor_set(
             {RSU: np.full(5, 2.0), CAMERA_AW: cam, CAMERA_DRONE: cam.copy()}
         )
-        assert np.allclose(fuse_distances(sensors).values, 2.0)
+        assert np.allclose(fuse_all(sensors).distance_fused.values, 2.0)
 
     def test_all_missing_is_missing(self):
         gap = np.full(5, np.nan)
         gap_a = gap.copy()
         gap_a[0] = 1.0  # keep the series constructible
         sensors = sensor_set({RSU: gap_a, CAMERA_AW: gap.copy(), CAMERA_DRONE: gap.copy()})
-        fused = fuse_distances(sensors)
+        fused = fuse_all(sensors).distance_fused
         assert np.isnan(fused.values[1:]).all()
 
     def test_within_min_max_of_available(self, rng):
@@ -84,7 +88,7 @@ class TestDistanceFusion:
             values[rng.random(n) < 0.3] = np.nan
             data[sensor_id] = values
         sensors = sensor_set(data)
-        fused = fuse_distances(sensors).values
+        fused = fuse_all(sensors).distance_fused.values
         stacked = np.vstack([data[s] for s in (RSU, CAMERA_AW, CAMERA_DRONE)])
         for i in range(n):
             col = stacked[:, i]

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossrisk import (
+    CameraSensorModel,
+    ScenarioConfig,
     TimeSeries,
     fuse_all,
     generate_run,
     scenario_from_dict,
     sensor_set_from_streams,
+    simulate_recording,
 )
 from crossrisk.fusion import CAMERA_AW, CAMERA_DRONE, RSU, TRACKER
 from crossrisk.io import (
@@ -26,6 +30,7 @@ from crossrisk.io import (
     SENSOR_COLUMNS,
     _float_words,
     _signed_ticks,
+    read_sensor_csv,
     write_fused_csv,
     write_plot_csv,
     write_sensor_csv,
@@ -190,3 +195,38 @@ def test_plot_rows_quote_special_characters(tmp_path):
         text = fh.read()
     assert text == oracle_plot_csv(header, columns, 0.5)
     assert '"g_a,b"' in text and '"g_""q"""' in text and '"1,5"' in text
+
+
+RATES = st.floats(0.5, 3000.0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    truth_rate_hz=RATES,
+    rsu_rate_hz=RATES,
+    camera_rate_hz=RATES,
+    duration=st.floats(0.05, 3.0),
+    initial_distance=st.floats(1.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+    unlimited_cameras=st.booleans(),
+)
+def test_simulate_write_read_round_trip(unlimited_cameras, **scenario):
+    """Every present sample reads back as its six-decimal text, on its own row."""
+    config = ScenarioConfig(initial_speed=0.2, **scenario)
+    camera = CameraSensorModel(detection_range=math.inf if unlimited_cameras else 2.5)
+    streams = simulate_recording(config, {CAMERA_AW: camera, CAMERA_DRONE: camera})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sensors.csv"
+        try:
+            write_sensor_csv(path, streams)
+        except ValueError as exc:  # two samples of one sensor on one printed timestamp
+            assert any(str(exc).startswith(f"sensor {s}: ") for s in streams), exc
+            return
+        read = read_sensor_csv(path)
+    assert set(read) == set(streams)
+    for sensor_id, stream in streams.items():
+        got = read[sensor_id]
+        want_t = [float(f"{t:.6f}") for t in stream.times[stream.present]]
+        want_v = [float(f"{v:.6f}") for v in stream.values[stream.present]]
+        assert got.times[got.present].tolist() == want_t, sensor_id
+        assert got.values[got.present].tolist() == want_v, sensor_id

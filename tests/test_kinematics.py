@@ -11,7 +11,6 @@ from crossrisk import (
     differentiate,
     kinematic_safety_check,
     numeric_collision_check,
-    obstacle_displacement,
     time_to_cross,
 )
 
@@ -104,21 +103,6 @@ class TestCrossingModel:
         kwargs = {"road_width": 3.0, "crossing_speed": 1.0, field: value}
         with pytest.raises(ValueError, match=field):
             CrossingModel(**kwargs)
-
-
-class TestObstacleDisplacement:
-    def test_uniform_motion(self):
-        assert obstacle_displacement(1.0, 0.0, 2.0) == pytest.approx(2.0)
-
-    def test_pure_acceleration(self):
-        assert obstacle_displacement(0.0, 2.0, 3.0) == pytest.approx(9.0)
-
-    def test_braking(self):
-        assert obstacle_displacement(1.0, -0.5, 2.0) == pytest.approx(1.0)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            obstacle_displacement(1.0, 0.0, -0.1)
 
 
 class TestSafetyCheck:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from crossrisk import (
     generate_truth,
     sample_sensor,
     scenario_from_dict,
+    simulate_recording,
 )
 
 NOISELESS = {
@@ -224,6 +228,31 @@ class TestGenerateRun:
         assert run.raw_streams["rsu"].times.size == 61
         assert run.raw_streams["camera_aw"].times.size == 181
         assert run.raw_streams["tracker"].times.size == 181
+
+
+GOLDEN_SCENARIO = json.loads(
+    (Path(__file__).parent / "golden" / "braking_scenario.json").read_text()
+)
+
+
+class TestSimulateRecording:
+    @pytest.mark.parametrize(
+        "sensors",
+        [
+            {},
+            {"camera_aw": {"detection_range": 0.01}},
+            {"camera_aw": {"detection_range": None}, "camera_drone": {"detection_range": None}},
+        ],
+        ids=["golden", "blind-aw", "unlimited-range"],
+    )
+    def test_is_the_recording_of_generate_run(self, sensors):
+        config, models = scenario_from_dict({**GOLDEN_SCENARIO, "sensors": sensors})
+        recording = simulate_recording(config, models)
+        raw = generate_run(config, models).raw_streams
+        assert list(recording) == list(raw)
+        for sensor_id, stream in recording.items():
+            assert np.array_equal(stream.times, raw[sensor_id].times)
+            assert np.array_equal(stream.values, raw[sensor_id].values, equal_nan=True)
 
 
 class TestScenarioParsing:
