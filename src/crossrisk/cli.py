@@ -18,7 +18,7 @@ import numpy as np
 from . import io as crio
 from .config import RunConfig, load_run_config
 from .fusion import fuse_all, sensor_set_from_streams
-from .metrics import EVALUATION_SOURCES, evaluate_run
+from .metrics import evaluate_run
 from .simulate import load_scenario, simulate_recording
 from .timeseries import EmptyOverlapError
 
@@ -154,36 +154,34 @@ def _evaluate_one(path: str, config: RunConfig) -> dict:
 
 
 def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
-    results = [_evaluate_one(path, config) for path in args.inputs]
-    if args.json:
-        if len(results) == 1:
+    """Print the reports of every input; on a failing input, those finished before it."""
+    results = []
+    try:
+        for path in args.inputs:
+            results.append(_evaluate_one(path, config))
+    finally:
+        if results and args.json and len(args.inputs) == 1:
             sys.stdout.write(crio.reports_to_json(results[0]))
-        else:
-            payload = [
-                {
-                    "input": path,
-                    "reports": [
-                        crio.report_to_dict(source, reports[source])
-                        for source in EVALUATION_SOURCES
-                        if source in reports
-                    ],
-                }
-                for path, reports in zip(args.inputs, results)
-            ]
+        elif results and args.json:
+            inputs = zip(args.inputs, results)
+            payload = [{"input": path, "reports": crio.report_rows(r)} for path, r in inputs]
             sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        for i, (path, reports) in enumerate(zip(args.inputs, results)):
-            if len(results) > 1:
-                if i:
-                    print()
-                print(f"== {path} ==")
-            sys.stdout.write(crio.reports_to_table(reports))
+        else:
+            for i, (path, reports) in enumerate(zip(args.inputs, results)):
+                if len(args.inputs) > 1:
+                    if i:
+                        print()
+                    print(f"== {path} ==")
+                sys.stdout.write(crio.reports_to_table(reports))
     return 0
 
 
 def cmd_plotdata(args: argparse.Namespace, config: RunConfig) -> int:
-    header, columns = crio.read_csv_columns(args.input)
-    crio.write_plot_csv(args.output, header, columns, threshold=config.danger.threshold)
+    try:
+        header, columns = crio.read_csv_columns(args.input)
+        crio.write_plot_csv(args.output, header, columns, threshold=config.danger.threshold)
+    except ValueError as exc:  # name the input, as for a recording
+        raise ValueError(f"{args.input}: {exc}") from exc
     return 0
 
 

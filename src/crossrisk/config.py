@@ -7,14 +7,13 @@ half-second bridging limit for sensor gaps.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
-from .danger import DangerParams, _require_finite
+from .danger import DangerParams
+from .timeseries import _check_field_kinds
 
 
 @dataclass(frozen=True)
@@ -30,46 +29,53 @@ class RunConfig:
     danger: DangerParams = field(default_factory=DangerParams)
 
     def __post_init__(self) -> None:
-        _require_finite(self, ("resample_hz", "max_gap_s"))
+        _check_field_kinds(self)
         if self.resample_hz <= 0:
             raise ValueError("resample_hz must be positive")
         for name in ("smooth_window_rsu", "smooth_window_camera", "smooth_window_derivative"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.max_gap_s <= 0:
             raise ValueError("max_gap_s must be positive")
 
 
-def _build_dataclass(cls, data: dict[str, Any], where: str):
-    field_names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - field_names
+def record_from_dict(cls: type, data: Any, where: str, **convert: Callable[[Any], Any]):
+    """Build the record ``cls`` from a JSON object; every error is a ValueError naming ``where``.
+
+    Unknown keys are rejected, so a typo does not fall back to a default.
+    ``convert`` maps a field to a function run on its JSON value first.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: must be a JSON object, got {data!r:.40}")
+    unknown = data.keys() - cls.__dataclass_fields__
     if unknown:
-        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
-    return cls(**data)
+        raise ValueError(f"{where}: unknown keys {sorted(map(str, unknown))}")
+    kwargs = {key: convert[key](v) if key in convert else v for key, v in data.items()}
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def read_json_file(path: str | Path, parse: Callable[[Any], Any]):
+    """Read the JSON file at ``path`` and build it with ``parse``; every error names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, RecursionError, ValueError) as exc:  # ValueError: bytes that are not UTF-8
+        raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def run_config_from_dict(data: dict[str, Any]) -> RunConfig:
-    """Build a RunConfig from a plain dict (e.g. parsed JSON).
+    """Build a RunConfig from a plain dict (e.g. parsed JSON); ``danger`` is a nested object."""
+    def danger(block: Any) -> DangerParams:
+        return record_from_dict(DangerParams, block, "config field danger")
 
-    Unknown keys are rejected so typos do not silently fall back to
-    defaults; the ``danger`` block is a nested object.
-    """
-    data = dict(data)
-    danger = data.pop("danger", None)
-    kwargs: dict[str, Any] = dict(data)
-    if danger is not None:
-        kwargs["danger"] = _build_dataclass(DangerParams, danger, "danger")
-    return _build_dataclass(RunConfig, kwargs, "config")
+    return record_from_dict(RunConfig, data, "config", danger=danger)
 
 
 def load_run_config(path: str | Path) -> RunConfig:
     """Read a RunConfig from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config file must contain a JSON object")
-    return run_config_from_dict(data)
-
+    return read_json_file(path, run_config_from_dict)

@@ -8,16 +8,13 @@ score into a go/no-go decision; instants without data stay ``UNKNOWN``.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kinematics import KinematicTrack
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, _check_field_kinds
 
 
 class Decision(enum.Enum):
@@ -51,14 +48,6 @@ def _as_codes(decisions) -> np.ndarray:
     return np.where(labels == Decision.UNKNOWN, _UNKNOWN, labels == Decision.DANGEROUS)
 
 
-def _require_finite(record, names) -> None:
-    """Reject a NaN, infinite or non-numeric field of a config record by name."""
-    for name in names:
-        value = getattr(record, name)
-        if not isinstance(value, numbers.Real) or not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class DangerParams:
     """All constants of the danger score in one validated record.
@@ -79,7 +68,7 @@ class DangerParams:
     denominator_floor: float = 1e-3
 
     def __post_init__(self) -> None:
-        _require_finite(self, [f.name for f in dataclasses.fields(self)])
+        _check_field_kinds(self)
         if self.accel_weight < 0:
             raise ValueError("accel_weight must be non-negative")
         if self.distance_offset <= 0:

@@ -7,10 +7,13 @@ files.  Empty CSV fields mean "missing".
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import stat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -172,6 +175,39 @@ def _write_rows(
         fh.write(np.stack(words, axis=1).tobytes().translate(None, b"\0"))
 
 
+@contextlib.contextmanager
+def _replacing(path: str | Path, mode: str = "wb", **open_kwargs):
+    """Open a file beside ``path`` that replaces it once complete; on an exception, remove it.
+
+    A target that is no regular file (``/dev/stdout``, a pipe) is opened in place.
+    """
+    try:
+        old = os.stat(path)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, mode, **open_kwargs) as fh:
+            yield fh
+        return
+    # replace a symlink's target, not the link
+    target = os.path.realpath(path) if os.path.islink(path) else os.fspath(path)
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, mode, **open_kwargs)  # created as open() creates the target
+    except OSError as exc:  # name the output, not its temporary file
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+            if old is not None and old.st_mode != os.fstat(fh.fileno()).st_mode:
+                os.chmod(tmp, stat.S_IMODE(old.st_mode))  # the mode open() would have kept
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _parse_float(text: str, row: int, column: str) -> float:
     if text == "":
         return math.nan
@@ -264,7 +300,7 @@ def write_sensor_csv(path: str | Path, streams: Mapping[str, TimeSeries]) -> Non
                 )
             column[rows] = streams[sensor_id].values
         columns.append(column)
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write((",".join(["timestamp"] + [c for c, _ in SENSOR_COLUMNS]) + "\n").encode())
         _write_rows(fh, columns)
 
@@ -298,7 +334,7 @@ def write_fused_csv(
         (codes, _DECISION_LABELS)
         for codes in (trace.distance_codes, trace.danger_codes, trace.vote_codes)
     ]
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write((",".join(FUSED_HEADER) + "\n").encode())
         _write_rows(fh, floats, labels)
 
@@ -343,7 +379,7 @@ def write_plot_csv(
     if not header or header[0] != "timestamp":
         raise SensorCsvError("plot input must have a leading timestamp column")
     timestamps = _csv_fields(columns[0] if columns else [])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("timestamp,series,value\n")
         numeric_series = []
         for name, column in zip(header[1:], columns[1:]):
@@ -409,14 +445,14 @@ def report_to_dict(source: str, report: EvaluationReport | None) -> dict:
     }
 
 
+def report_rows(reports: Mapping[str, EvaluationReport | None]) -> list[dict]:
+    """JSON-ready evaluation rows in canonical source order."""
+    return [report_to_dict(s, reports[s]) for s in EVALUATION_SOURCES if s in reports]
+
+
 def reports_to_json(reports: Mapping[str, EvaluationReport | None]) -> str:
     """Serialize evaluation rows in canonical source order."""
-    rows = [
-        report_to_dict(source, reports[source])
-        for source in EVALUATION_SOURCES
-        if source in reports
-    ]
-    return json.dumps(rows, indent=2) + "\n"
+    return json.dumps(report_rows(reports), indent=2) + "\n"
 
 
 def reports_to_table(reports: Mapping[str, EvaluationReport | None]) -> str:

@@ -10,13 +10,12 @@ a brute-force numerical collision check used to validate it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .timeseries import TimeSeries, UniformGrid, _readonly, _trailing_mean
+from .timeseries import TimeSeries, UniformGrid, _check_field_kinds, _readonly, _trailing_mean
 
 
 @dataclass(frozen=True)
@@ -54,10 +53,10 @@ class CrossingModel:
     crossing_speed: float
 
     def __post_init__(self) -> None:
+        _check_field_kinds(self)
         for name in ("road_width", "crossing_speed"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 class SafetyCheck(NamedTuple):

@@ -11,14 +11,13 @@ bounding box.  Everything is deterministic given the seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
-from .danger import Decision, _require_finite, danger_series, decisions_from_series
+from .config import RunConfig, read_json_file, record_from_dict
+from .danger import Decision, danger_series, decisions_from_series
 from .fusion import (
     CAMERA_AW,
     CAMERA_DRONE,
@@ -28,7 +27,14 @@ from .fusion import (
     sensor_set_from_streams,
 )
 from .kinematics import KinematicTrack
-from .timeseries import MAX_GRID_POINTS, TimeSeries, UniformGrid, _is_positive_rate
+from .timeseries import (
+    MAX_GRID_POINTS,
+    TimeSeries,
+    UniformGrid,
+    _check_field_kinds,
+    _is_finite_real,
+    _is_positive_rate,
+)
 
 # Pinhole focal length in pixels for a 1280 px wide image with a 120 degree
 # horizontal field of view: (1280 / 2) / tan(60 deg).
@@ -53,7 +59,7 @@ class RangeSensorModel:
     relative_noise: float = 0.05
 
     def __post_init__(self) -> None:
-        _require_finite(self, ("relative_noise",))
+        _check_field_kinds(self)
         if self.relative_noise < 0:
             raise ValueError("relative_noise must be non-negative")
 
@@ -73,8 +79,8 @@ class CameraSensorModel:
     object_width_m: float = 0.32
 
     def __post_init__(self) -> None:
-        _require_finite(self, ("pixel_noise_sigma", "focal_px", "object_width_m"))
-        if not self.detection_range > 0:  # infinity is unlimited range, NaN is rejected
+        _check_field_kinds(self, may_be_infinite="detection_range")  # unlimited range
+        if self.detection_range <= 0:
             raise ValueError(f"detection_range must be positive, got {self.detection_range!r}")
         if self.pixel_noise_sigma < 0:
             raise ValueError("pixel_noise_sigma must be non-negative")
@@ -99,38 +105,32 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_finite(
-            self,
-            (
-                "duration",
-                "initial_distance",
-                "initial_speed",
-                "truth_rate_hz",
-                "rsu_rate_hz",
-                "camera_rate_hz",
-            ),
-        )
+        _check_field_kinds(self)
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.initial_distance <= 0:
             raise ValueError("initial_distance must be positive")
         if self.initial_speed < 0:
             raise ValueError("initial_speed must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for name in ("truth_rate_hz", "rsu_rate_hz", "camera_rate_hz"):
             rate = getattr(self, name)
             if rate <= 0:
-                raise ValueError("sample rates must be positive")
+                raise ValueError(f"{name} must be positive")
             count = np.floor(self.duration * rate + 1e-9) + 1  # checked before allocating
             if count > MAX_GRID_POINTS:
                 raise ValueError(
                     f"{name} {rate:g} over duration {self.duration:g} s gives {count:.0f} "
                     f"samples, more than the limit of {MAX_GRID_POINTS}"
                 )
-        segments = tuple((float(d), float(a)) for d, a in self.segments)
-        if not all(math.isfinite(v) for segment in segments for v in segment):
-            raise ValueError("segments must hold finite numbers")
-        if not segments:
-            segments = ((self.duration, 0.0),)
+        try:
+            pairs = [(d, a) for d, a in self.segments]
+        except (TypeError, ValueError):
+            pairs = [(None, None)]
+        if not all(_is_finite_real(d) and _is_finite_real(a) for d, a in pairs):
+            raise ValueError("segments must hold finite numbers, in [duration, accel] pairs")
+        segments = tuple((float(d), float(a)) for d, a in pairs) or ((self.duration, 0.0),)
         if any(d <= 0 for d, _ in segments):
             raise ValueError("segment durations must be positive")
         if sum(d for d, _ in segments) + 1e-9 < self.duration:
@@ -349,29 +349,6 @@ def generate_run(
     )
 
 
-_SCENARIO_KEYS = {
-    "duration",
-    "initial_distance",
-    "initial_speed",
-    "segments",
-    "truth_rate_hz",
-    "rsu_rate_hz",
-    "camera_rate_hz",
-    "seed",
-    "sensors",
-}
-
-
-def _camera_from_dict(data: dict, sensor_id: str) -> CameraSensorModel:
-    kwargs = dict(data)
-    if kwargs.get("detection_range") is None and "detection_range" in kwargs:
-        kwargs["detection_range"] = math.inf  # null means unlimited range
-    try:
-        return CameraSensorModel(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"scenario field sensors.{sensor_id}: {exc}") from exc
-
-
 def scenario_from_dict(data: dict) -> tuple[ScenarioConfig, dict[str, SensorModel]]:
     """Parse a scenario JSON object into a config plus sensor models.
 
@@ -380,51 +357,22 @@ def scenario_from_dict(data: dict) -> tuple[ScenarioConfig, dict[str, SensorMode
     of ``null`` means unlimited range.
     """
     if not isinstance(data, dict):
-        raise ValueError("scenario must be a JSON object")
-    unknown = set(data) - _SCENARIO_KEYS
-    if unknown:
-        raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-    data = dict(data)
-    sensors_block = data.pop("sensors", {})
-    if not isinstance(sensors_block, dict):
-        raise ValueError("scenario field sensors: must be an object")
-    segments = data.get("segments", [])
-    if not isinstance(segments, list) or any(
-        not isinstance(seg, (list, tuple)) or len(seg) != 2 for seg in segments
-    ):
-        raise ValueError("scenario field segments: must be a list of [duration, accel] pairs")
-    data["segments"] = tuple((float(d), float(a)) for d, a in segments)
-    try:
-        config = ScenarioConfig(**data)
-    except TypeError as exc:
-        raise ValueError(f"scenario: {exc}") from exc
-    except ValueError as exc:
-        raise ValueError(f"scenario: {exc}") from exc
-
+        raise ValueError(f"scenario: must be a JSON object, got {data!r:.40}")
+    fields = dict(data)
+    sensors = fields.pop("sensors", {})
+    config = record_from_dict(ScenarioConfig, fields, "scenario")
+    if not isinstance(sensors, dict):
+        raise ValueError(f"scenario field sensors: must be a JSON object, got {sensors!r:.40}")
     models = default_sensor_models()
-    for sensor_id, params in sensors_block.items():
+    for sensor_id, params in sensors.items():
+        where = f"scenario field sensors.{sensor_id}"
         if sensor_id not in models:
-            raise ValueError(f"scenario field sensors.{sensor_id}: unknown sensor id")
-        if not isinstance(params, dict):
-            raise ValueError(f"scenario field sensors.{sensor_id}: must be an object")
-        if sensor_id == RSU:
-            try:
-                models[sensor_id] = RangeSensorModel(**params)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"scenario field sensors.{sensor_id}: {exc}") from exc
-        else:
-            models[sensor_id] = _camera_from_dict(params, sensor_id)
+            raise ValueError(f"{where}: unknown sensor id")
+        unlimited = {"detection_range": lambda v: math.inf if v is None else v}
+        models[sensor_id] = record_from_dict(type(models[sensor_id]), params, where, **unlimited)
     return config, models
 
 
 def load_scenario(path) -> tuple[ScenarioConfig, dict[str, SensorModel]]:
     """Read a scenario description from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    try:
-        return scenario_from_dict(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return read_json_file(path, scenario_from_dict)

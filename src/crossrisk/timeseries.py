@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -85,8 +85,35 @@ class TimeSeries:
         return float(self.times[0]), float(self.times[-1])
 
 
+def _is_finite_real(value) -> bool:
+    """A finite real that is not a bool (an int too large for a float is not finite)."""
+    try:
+        return isinstance(value, numbers.Real) and type(value) is not bool and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+# What a field whose annotation reads "float", "int" or "bool" takes; a bool is no number.
+_KINDS = {
+    "float": (_is_finite_real, "a finite number"),
+    "int": (lambda v: isinstance(v, numbers.Integral) and type(v) is not bool, "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def _check_field_kinds(record, may_be_infinite: str = "") -> None:
+    """Reject a record's field that does not hold its declared kind, by name (one may be ±inf)."""
+    for f in fields(record):
+        if f.type in _KINDS:
+            value = getattr(record, f.name)
+            accepts, kind = _KINDS[f.type]
+            infinite_ok = f.name == may_be_infinite and value in (math.inf, -math.inf)
+            if not accepts(value) and not infinite_ok:
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+
+
 def _is_positive_rate(rate_hz) -> bool:
-    return isinstance(rate_hz, numbers.Real) and math.isfinite(rate_hz) and rate_hz > 0
+    return _is_finite_real(rate_hz) and rate_hz > 0
 
 
 @dataclass(frozen=True)
@@ -103,16 +130,11 @@ class UniformGrid:
     _times: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.start, numbers.Real) and math.isfinite(self.start)):
-            raise ValueError(f"grid start must be finite, got {self.start!r}")
-        if not _is_positive_rate(self.rate_hz):
-            raise ValueError(f"rate_hz must be a finite positive number, got {self.rate_hz!r}")
-        if (
-            not isinstance(self.count, numbers.Integral)
-            or isinstance(self.count, bool)
-            or self.count < 1
-        ):
-            raise ValueError(f"count must be an integer of at least 1, got {self.count!r}")
+        _check_field_kinds(self)
+        if self.rate_hz <= 0:
+            raise ValueError(f"rate_hz must be positive, got {self.rate_hz!r}")
+        if self.count < 1:
+            raise ValueError(f"count must be at least 1, got {self.count!r}")
         times = self.start + np.arange(self.count) / self.rate_hz
         times.setflags(write=False)
         object.__setattr__(self, "_times", times)

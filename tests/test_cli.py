@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import numbers
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crossrisk.simulate
 from crossrisk import (
+    CameraSensorModel,
+    DangerParams,
+    RangeSensorModel,
     RunConfig,
     ScenarioConfig,
     danger_series,
@@ -20,6 +27,7 @@ from crossrisk import (
     generate_run,
     load_scenario,
     run_config_from_dict,
+    scenario_from_dict,
     sensor_set_from_streams,
 )
 from crossrisk.cli import main
@@ -71,6 +79,74 @@ class TestRunConfig:
             run_config_from_dict({"danger": {"gstar": 2.0}})
         with pytest.raises(ValueError, match="crossing"):
             run_config_from_dict({"crossing": {"road_width": 4.0, "crossing_speed": 0.8}})
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _json_fields(*records):
+    """JSON objects holding a few of the records' keys, or a typo, with any JSON values."""
+    keys = [f.name for record in records for f in dataclasses.fields(record)]
+    plausible = st.integers(0, 10) | st.floats(0.0, 20.0) | st.booleans() | st.just(math.inf)
+    return st.dictionaries(st.sampled_from(keys + ["typo"]), plausible | JSON_VALUES, max_size=3)
+
+
+def assert_declared_kinds(record) -> None:
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if f.type == "float":
+            assert isinstance(value, numbers.Real) and not isinstance(value, bool), f.name
+            assert math.isfinite(value) or f.name == "detection_range", f.name
+            assert not math.isnan(value), f.name
+        elif f.type == "int":
+            assert isinstance(value, numbers.Integral) and not isinstance(value, bool), f.name
+        elif f.type == "bool":
+            assert isinstance(value, bool), f.name
+        elif f.name == "danger":
+            assert isinstance(value, DangerParams)
+            assert_declared_kinds(value)
+        else:
+            assert f.name == "segments"
+            assert all(
+                type(d) is float and type(a) is float and math.isfinite(d) and math.isfinite(a)
+                for d, a in value
+            )
+
+
+class TestLoaderTotality:
+    """Any JSON value put into a valid object gives records of the declared kinds or a ValueError."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(top=_json_fields(RunConfig), danger=_json_fields(DangerParams))
+    def test_run_config(self, top, danger):
+        try:
+            config = run_config_from_dict({"danger": danger, **top})
+        except ValueError:
+            return
+        assert_declared_kinds(config)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        top=_json_fields(ScenarioConfig),
+        sensors=st.dictionaries(
+            st.sampled_from(["rsu", "camera_aw", "camera_drone", "typo"]),
+            _json_fields(RangeSensorModel, CameraSensorModel) | JSON_VALUES,
+            max_size=3,
+        )
+        | JSON_VALUES,
+    )
+    def test_scenario(self, top, sensors):
+        try:
+            config, models = scenario_from_dict({**SCENARIO, **top, "sensors": sensors})
+        except ValueError:
+            return
+        assert_declared_kinds(config)
+        for model in models.values():
+            assert_declared_kinds(model)
 
 
 class TestSensorCsv:
@@ -255,14 +331,25 @@ class TestCliCommands:
         trace.write_text("timestamp,a,b\n0,1,2\n\n1,3\n2,5,6\n")
         out = tmp_path / "plot.csv"
         assert main(["plotdata", str(trace), str(out)]) == 2
-        assert "line 4: 2 fields, the header has 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "line 4: 2 fields, the header has 3" in err
+        assert f"error: {trace}: " in err
         assert not out.exists()
+        trace.write_bytes(b"timestamp,a\n\xff,1\n")  # not UTF-8
+        assert main(["plotdata", str(trace), str(out)]) == 2
+        assert f"error: {trace}: 'utf-8' codec" in capsys.readouterr().err
         trace.write_text("timestamp,a,b\n0,1,2\n\n1,3,4,extra\n")
         assert main(["plotdata", str(trace), str(out)]) == 0
         assert out.read_text().splitlines()[1:] == ["0,a,1", "1,a,3", "0,b,2", "1,b,4"]
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["fuse", str(tmp_path / "nope.csv"), str(tmp_path / "out.csv")]) == 2
+
+    def test_output_that_is_a_directory_is_data_error(self, tmp_path, sensors_csv, capsys):
+        assert main(["fuse", str(sensors_csv), str(tmp_path)]) == 2
+        assert main(["simulate", str(GOLDEN_SCENARIO), str(tmp_path)]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "sensors.csv"]
 
     def test_usage_error_exit_code(self):
         assert main(["frobnicate"]) == 1
@@ -298,7 +385,13 @@ class TestCliCommands:
         assert main(["evaluate", str(a), str(bad), str(b)]) == 2
         captured = capsys.readouterr()
         assert f"error: {bad}: row 3" in captured.err
-        assert captured.out == ""
+        # the input finished before the failing one keeps its table
+        assert f"== {a} ==" in captured.out and captured.out.count("Range sensors") == 1
+        assert str(b) not in captured.out
+        assert main(["evaluate", "--json", str(a), str(bad), str(b)]) == 2
+        assert [entry["input"] for entry in json.loads(capsys.readouterr().out)] == [str(a)]
+        assert main(["evaluate", "--json", str(bad), str(a)]) == 2
+        assert capsys.readouterr().out == ""  # no input completed
 
     def test_grid_over_the_point_limit_is_data_error(self, sensors_csv, capsys):
         # rejected before the grid is allocated (it would take 44.7 GiB)
@@ -325,6 +418,51 @@ class TestCliCommands:
         fused = tmp_path / "fused.csv"
         assert main(["fuse", str(sensors_csv), str(fused)]) == 0
         assert fused.stat().st_size > 0
+
+    @pytest.mark.parametrize(
+        "kind, content, named",
+        [
+            # a string is not a bool: it used to be taken as true, silently
+            ("config", {"unknown_as_safe": "false"}, "unknown_as_safe must be true or false"),
+            ("config", {"danger": 5}, "config field danger: must be a JSON object"),
+            ("config", {"danger": [1]}, "config field danger: must be a JSON object"),
+            ("config", {"danger": {"threshold": True}}, "threshold must be a finite number"),
+            ("scenario", {"seed": "7"}, "seed must be an integer"),
+            ("scenario", {"seed": 1.5}, "seed must be an integer"),
+            ("scenario", {"seed": True}, "seed must be an integer"),
+            ("scenario", {"seed": -1}, "seed must be non-negative"),
+            ("config", b'{"max_gap_s": -1, }', "invalid JSON at line 1"),
+            ("config", {"max_gap_s": -1}, "max_gap_s must be positive"),
+            ("config", b'{"max_gap_s": "\xff"}', "'utf-8' codec"),
+            ("scenario", b'{"duration": "\xff"}', "'utf-8' codec"),
+            ("scenario", {"segments": [[1, "a"]]}, "segments must hold finite numbers"),
+            ("scenario", {"sensors": {"rsu": {"bogus": 1}}}, "sensors.rsu: unknown keys ['bogus']"),
+            ("config", {"danger": {"bogus": 1}}, "danger: unknown keys ['bogus']"),
+        ],
+        ids=[
+            "unknown_as_safe-string", "danger-int", "danger-list", "threshold-bool",
+            "seed-string", "seed-float", "seed-bool", "seed-negative", "config-bad-json",
+            "max_gap_s-negative", "config-not-utf8", "scenario-not-utf8",
+            "segments-string", "sensor-unknown-key", "danger-unknown-key",
+        ],
+    )
+    def test_bad_config_or_scenario_names_file_and_field(
+        self, tmp_path, sensors_csv, capsys, kind, content, named
+    ):
+        path = tmp_path / f"{kind}.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(json.dumps({**SCENARIO, **content} if kind == "scenario" else content))
+        if kind == "config":
+            argv = ["--config", str(path), "evaluate", "--json", str(sensors_csv)]
+        else:
+            argv = ["simulate", str(path), str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: {path}: " in captured.err and named in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "flags, config, field",

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossrisk import (
     CAMERA_AW,
@@ -13,12 +18,16 @@ from crossrisk import (
     DangerParams,
     Decision,
     ScenarioConfig,
+    CameraSensorModel,
     SensorSet,
     danger_series,
     decisions_from_series,
     fuse_all,
     generate_run,
+    sensor_set_from_streams,
+    simulate_recording,
 )
+from crossrisk.io import write_fused_csv
 
 from conftest import track_from_distances
 
@@ -269,3 +278,47 @@ class TestFuseAll:
             for dangerous, cast in zip(trace.dangerous_votes, trace.votes_cast)
         )
         assert set(trace.decision_vote) == {Decision.SAFE, Decision.DANGEROUS, Decision.UNKNOWN}
+
+
+def _fused_bytes(trace) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fused.csv"
+        write_fused_csv(path, trace, trace.sensor_g)
+        return path.read_bytes()
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    detection_range=st.sampled_from([2.5, 0.01, np.inf]),
+    with_tracker=st.booleans(),
+    data=st.data(),
+)
+def test_outputs_do_not_depend_on_stream_order(seed, detection_range, with_tracker, data):
+    config = ScenarioConfig(
+        duration=6.0,
+        initial_distance=4.0,
+        initial_speed=0.7,
+        segments=((2.5, 0.2), (2.0, -0.6), (1.5, 0.0)),
+        seed=seed,
+    )
+    camera = CameraSensorModel(detection_range=detection_range)
+    streams = simulate_recording(config, {CAMERA_AW: camera, CAMERA_DRONE: camera})
+    if not with_tracker:
+        del streams[TRACKER]
+    order = data.draw(st.permutations(list(streams)), label="order")
+    canonical = fuse_all(sensor_set_from_streams(streams))
+    shuffled = fuse_all(sensor_set_from_streams({s: streams[s] for s in order}))
+
+    assert shuffled.grid == canonical.grid
+    assert list(shuffled.sensor_g) == list(canonical.sensor_g)
+    for sensor_id, series in canonical.sensor_g.items():
+        np.testing.assert_array_equal(shuffled.sensor_g[sensor_id].values, series.values)
+    for name in ("distance_fused", "g_distance_fusion", "g_danger_fusion"):
+        np.testing.assert_array_equal(
+            getattr(shuffled, name).values, getattr(canonical, name).values
+        )
+    for name in ("available_count", "distance_codes", "danger_codes", "vote_codes",
+                 "dangerous_votes", "votes_cast"):
+        np.testing.assert_array_equal(getattr(shuffled, name), getattr(canonical, name))
+    assert _fused_bytes(shuffled) == _fused_bytes(canonical)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import crossrisk.io
 from crossrisk import (
     CameraSensorModel,
     ScenarioConfig,
@@ -230,3 +231,47 @@ def test_simulate_write_read_round_trip(unlimited_cameras, **scenario):
         want_v = [float(f"{v:.6f}") for v in stream.values[stream.present]]
         assert got.times[got.present].tolist() == want_t, sensor_id
         assert got.values[got.present].tolist() == want_v, sensor_id
+
+
+LONG_TRACE = fuse_all(
+    sensor_set_from_streams(
+        simulate_recording(ScenarioConfig(duration=50.0, initial_distance=4.0, initial_speed=0.05))
+    )
+)
+
+
+@pytest.mark.parametrize("fail_at", [2, 9], ids=["first-block", "second-block"])
+def test_failed_write_leaves_the_old_target(tmp_path, monkeypatch, fail_at):
+    """A writer that fails part-way leaves the old bytes and no stray file behind."""
+    assert LONG_TRACE.grid.count > 4096  # more than one block of rows
+    target = tmp_path / "fused.csv"
+    target.write_bytes(b"old trace\n")
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == fail_at:  # 8 float columns a block: call 9 opens the second block
+            raise OSError("disk full")
+        return _float_words(*args)
+
+    monkeypatch.setattr(crossrisk.io, "_float_words", failing)
+    with pytest.raises(OSError, match="disk full"):
+        write_fused_csv(target, LONG_TRACE, LONG_TRACE.sensor_g)
+    assert target.read_bytes() == b"old trace\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["fused.csv"]
+
+
+def test_completed_write_replaces_the_target_with_the_mode_of_open(tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(b"")
+    fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+    old.write_bytes(b"old trace\n")
+    old.chmod(0o640)
+    for target in (fresh, old):
+        write_fused_csv(target, LONG_TRACE, LONG_TRACE.sensor_g)
+    assert fresh.read_bytes() == old.read_bytes() != b"old trace\n"
+    assert fresh.stat().st_mode == plain.stat().st_mode
+    assert old.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "old.csv", "plain.csv"]
+    with pytest.raises(IsADirectoryError):
+        write_sensor_csv(tmp_path, simulate_recording(ScenarioConfig(1.0, 2.0)))
