@@ -41,7 +41,6 @@ from .kinematics import (
 from .metrics import (
     EvaluationReport,
     InsufficientDataError,
-    classification_report,
     evaluate_run,
     evaluate_source,
     rmse,

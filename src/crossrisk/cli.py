@@ -20,7 +20,6 @@ from .config import RunConfig, load_run_config
 from .fusion import fuse_all, sensor_set_from_streams
 from .metrics import evaluate_run
 from .simulate import load_scenario, simulate_recording
-from .timeseries import EmptyOverlapError
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -203,13 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _effective_config(args)
         return _HANDLERS[args.command](args, config)
-    except (
-        FileNotFoundError,
-        IsADirectoryError,
-        crio.SensorCsvError,
-        EmptyOverlapError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:  # SensorCsvError and EmptyOverlapError among them
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except Exception:  # pragma: no cover - defensive

@@ -57,11 +57,21 @@ def record_from_dict(cls: type, data: Any, where: str, **convert: Callable[[Any]
         raise ValueError(f"{where}: {exc}") from exc
 
 
+def _object_without_repeats(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object as a dict; a key given twice is an error, not a silent choice."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def read_json_file(path: str | Path, parse: Callable[[Any], Any]):
     """Read the JSON file at ``path`` and build it with ``parse``; every error names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse(json.load(fh))
+            return parse(json.load(fh, object_pairs_hook=_object_without_repeats))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except (OSError, RecursionError, ValueError) as exc:  # ValueError: bytes that are not UTF-8

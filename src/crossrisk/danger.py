@@ -145,9 +145,7 @@ def danger_value(
 
 def decide(g: float | None, params: DangerParams = DangerParams()) -> Decision:
     """Threshold a score: strictly above the threshold is DANGEROUS."""
-    if g is None or np.isnan(g):
-        return Decision.UNKNOWN
-    return Decision.DANGEROUS if g > params.threshold else Decision.SAFE
+    return _DECISIONS[_decision_codes(np.float64(np.nan if g is None else g), params.threshold)]
 
 
 def danger_series(track: KinematicTrack, params: DangerParams = DangerParams()) -> TimeSeries:

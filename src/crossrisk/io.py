@@ -11,7 +11,6 @@ import contextlib
 import csv
 import io
 import json
-import math
 import os
 import stat
 from pathlib import Path
@@ -208,16 +207,42 @@ def _replacing(path: str | Path, mode: str = "wb", **open_kwargs):
         raise
 
 
-def _parse_float(text: str, row: int, column: str) -> float:
-    if text == "":
-        return math.nan
+def _parse_column(cells: Sequence[str]) -> np.ndarray:
+    """CSV cells as floats, an empty cell as NaN; a ValueError on any cell ``float()`` rejects."""
+    return np.fromiter(map(float, map({"": "nan"}.get, cells, cells)), float, len(cells))
+
+
+def _column_faults(name: str, cells: list[str]) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """A recording column as floats, and its faults as ``(row index, message)`` pairs.
+
+    A fault is a cell that is not a number (the floats end before it), a
+    non-finite value, and in the timestamp column an empty cell or a
+    timestamp not above the one before.  Cells are looked at one by one
+    only to locate a fault.
+    """
+    faults = []
     try:
-        value = float(text)
-    except ValueError as exc:
-        raise SensorCsvError(f"row {row}: column {column!r}: not a number: {text!r}") from exc
-    if not math.isfinite(value):
-        raise SensorCsvError(f"row {row}: column {column!r}: non-finite value {text!r}")
-    return value
+        values = _parse_column(cells)
+    except ValueError:
+        for end, cell in enumerate(cells):
+            try:
+                float(cell or "nan")
+            except ValueError:
+                break
+        faults.append((end, f"column {name!r}: not a number: {cell!r}"))
+        cells = cells[:end]
+        values = _parse_column(cells)
+    is_time = name == "timestamp"
+    nonfinite = np.flatnonzero(~np.isfinite(values))
+    if nonfinite.size > (0 if is_time else cells.count("")):  # an empty cell is NaN
+        i = next(i for i in nonfinite.tolist() if is_time or cells[i])
+        message = f"column {name!r}: non-finite value {cells[i]!r}"
+        faults.append((i, message if cells[i] else "timestamp must not be empty"))
+    if is_time:
+        rising = values[1:] > values[:-1]
+        if not rising.all():
+            faults.append((int(rising.argmin()) + 1, "timestamps must be strictly increasing"))
+    return values, faults
 
 
 def read_sensor_csv(path: str | Path) -> dict[str, TimeSeries]:
@@ -226,46 +251,25 @@ def read_sensor_csv(path: str | Path) -> dict[str, TimeSeries]:
     The header must start with ``timestamp,distance_range,
     distance_wheelchair,distance_drone``; the ``distance_tracker`` column
     is optional (recordings without ground truth can still be fused) and
-    any further columns are ignored.
+    any further columns are ignored.  Rows follow :func:`read_csv_columns`;
+    an error names the row (the CSV record, the header being row 1).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SensorCsvError("empty file") from None
-        if [h.strip() for h in header[: len(_REQUIRED_HEADER)]] != _REQUIRED_HEADER:
-            raise SensorCsvError(
-                f"header must start with {','.join(_REQUIRED_HEADER)!r}, got {','.join(header)!r}"
-            )
-        has_tracker = len(header) > 4 and header[4].strip() == "distance_tracker"
-        n_cols = 5 if has_tracker else 4
-
-        times: list[float] = []
-        columns: list[list[float]] = [[] for _ in range(n_cols - 1)]
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(cell == "" for cell in row):
-                continue
-            if len(row) < n_cols:
-                raise SensorCsvError(f"row {row_no}: expected at least {n_cols} fields")
-            t = _parse_float(row[0], row_no, "timestamp")
-            if math.isnan(t):
-                raise SensorCsvError(f"row {row_no}: timestamp must not be empty")
-            if times and t <= times[-1]:
-                raise SensorCsvError(
-                    f"row {row_no}: timestamps must be strictly increasing"
-                )
-            times.append(t)
-            for i in range(1, n_cols):
-                columns[i - 1].append(_parse_float(row[i], row_no, header[i].strip()))
-    if not times:
+    header, columns, blanks = _read_columns(path)
+    names = [name.strip() for name in header]
+    if names[:4] != _REQUIRED_HEADER:
+        raise SensorCsvError(
+            f"header must start with {','.join(_REQUIRED_HEADER)!r}, got {','.join(header)!r}"
+        )
+    if not columns[0]:
         raise SensorCsvError("file contains no data rows")
-
-    t_arr = np.array(times)
-    streams: dict[str, TimeSeries] = {}
-    for (column, sensor_id), values in zip(SENSOR_COLUMNS, columns):
-        streams[sensor_id] = TimeSeries(t_arr, np.array(values))
-    return streams
+    names = names[: 5 if names[4:5] == ["distance_tracker"] else 4]
+    parsed = [_column_faults(name, cells) for name, cells in zip(names, columns)]
+    faults = [fault for _, column_faults in parsed for fault in column_faults]
+    if faults:  # the first in the file; within a row, the leftmost column's
+        i, message = min(faults, key=lambda fault: fault[0])
+        raise SensorCsvError(f"row {i + 2 + sum(b <= i for b in blanks)}: {message}")
+    times = parsed[0][0]
+    return {s: TimeSeries(times, v) for (_, s), (v, _) in zip(SENSOR_COLUMNS, parsed[1:])}
 
 
 def write_sensor_csv(path: str | Path, streams: Mapping[str, TimeSeries]) -> None:
@@ -340,27 +344,39 @@ def write_fused_csv(
 
 
 def read_csv_columns(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Read any CSV as a header plus string columns (for melting).
+    """Read any CSV as a header plus string columns.
 
-    Blank lines are skipped; a row shorter than the header is an error.
+    This is the one CSV dialect of the package: a row with no fields, or
+    with only empty fields, is blank and skipped; a non-blank row shorter
+    than the header is a :class:`SensorCsvError` naming its line; fields
+    beyond the header are ignored.
     """
+    return _read_columns(path)[:2]
+
+
+def _read_columns(path: str | Path) -> tuple[list[str], list[list[str]], list[int]]:
+    """:func:`read_csv_columns`, plus for each blank row the number of rows kept before it."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SensorCsvError("empty file") from None
-        columns: list[list[str]] = [[] for _ in header]
-        for row in reader:
-            if len(row) < len(columns):
-                if not row:
-                    continue
-                raise SensorCsvError(
-                    f"line {reader.line_num}: {len(row)} fields, the header has {len(header)}"
-                )
-            for column, cell in zip(columns, row):
-                column.append(cell)
-    return header, columns
+            header = next(reader, None)
+            if header is None:
+                raise SensorCsvError("empty file")
+            columns: list[list[str]] = [[] for _ in header]
+            blanks: list[int] = []
+            for row in reader:
+                if not any(row):
+                    blanks.append(len(columns[0]) if columns else 0)
+                elif len(row) < len(header):
+                    raise SensorCsvError(
+                        f"line {reader.line_num}: {len(row)} fields, the header has {len(header)}"
+                    )
+                else:
+                    for column, cell in zip(columns, row):
+                        column.append(cell)
+        except csv.Error as exc:  # a stray quote can run a field past csv's size limit
+            raise SensorCsvError(f"line {reader.line_num}: {exc}") from None
+    return header, columns, blanks
 
 
 def write_plot_csv(
@@ -383,14 +399,17 @@ def write_plot_csv(
         fh.write("timestamp,series,value\n")
         numeric_series = []
         for name, column in zip(header[1:], columns[1:]):
-            if all(_is_numeric_or_empty(cell) for cell in column):
-                numeric_series.append(name)
-                infix = f",{_csv_fields([name])[0]},"
-                cells = _csv_fields(column)
-                for start in range(0, min(len(timestamps), len(cells)), _BLOCK_ROWS):
-                    block = slice(start, start + _BLOCK_ROWS)
-                    rows = zip(timestamps[block], cells[block])
-                    fh.write("".join([t + infix + c + "\n" for t, c in rows if c]))
+            try:
+                _parse_column(column)
+            except ValueError:  # labels are not plottable values
+                continue
+            numeric_series.append(name)
+            infix = f",{_csv_fields([name])[0]},"
+            cells = _csv_fields(column)
+            for start in range(0, min(len(timestamps), len(cells)), _BLOCK_ROWS):
+                block = slice(start, start + _BLOCK_ROWS)
+                rows = zip(timestamps[block], cells[block])
+                fh.write("".join([t + infix + c + "\n" for t, c in rows if c]))
         has_scores = any(name.startswith("g_") or name.startswith("danger") for name in numeric_series)
         if threshold is not None and has_scores:
             suffix = f",g_star,{threshold:.6f}\n"
@@ -414,16 +433,6 @@ def _csv_fields(cells: Sequence[str]) -> Sequence[str]:
             buffer.truncate()
         quoted.append(cell)
     return quoted
-
-
-def _is_numeric_or_empty(cell: str) -> bool:
-    if cell == "":
-        return True
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
 
 
 def report_to_dict(source: str, report: EvaluationReport | None) -> dict:

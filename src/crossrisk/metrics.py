@@ -115,21 +115,6 @@ def _report(
     )
 
 
-def classification_report(
-    predicted: Sequence[Decision],
-    truth: Sequence[Decision],
-    unknown_as_safe: bool = False,
-) -> EvaluationReport:
-    """Confusion-derived metrics with DANGEROUS as the positive class.
-
-    Instants where either stream is UNKNOWN are excluded from the counts
-    (and tallied in ``excluded_points``); with ``unknown_as_safe`` an
-    UNKNOWN prediction is instead counted as a SAFE call, while UNKNOWN
-    truth is always excluded.
-    """
-    return _report(_as_codes(predicted), _as_codes(truth), unknown_as_safe)
-
-
 def evaluate_source(
     predicted_g: TimeSeries | None,
     predicted_decisions: Sequence[Decision],
@@ -137,7 +122,10 @@ def evaluate_source(
     truth_decisions: Sequence[Decision],
     unknown_as_safe: bool = False,
 ) -> EvaluationReport:
-    """Full report for one prediction source; ``predicted_g=None`` skips RMSE."""
+    """Full report for one prediction source; ``predicted_g=None`` skips RMSE.
+
+    With ``unknown_as_safe`` an UNKNOWN prediction counts as a SAFE call.
+    """
     predicted, truth = _as_codes(predicted_decisions), _as_codes(truth_decisions)
     return _report(predicted, truth, unknown_as_safe, predicted_g, truth_g)
 

@@ -28,10 +28,10 @@ from .fusion import (
 )
 from .kinematics import KinematicTrack
 from .timeseries import (
-    MAX_GRID_POINTS,
     TimeSeries,
     UniformGrid,
     _check_field_kinds,
+    _grid_count,
     _is_finite_real,
     _is_positive_rate,
 )
@@ -118,12 +118,7 @@ class ScenarioConfig:
             rate = getattr(self, name)
             if rate <= 0:
                 raise ValueError(f"{name} must be positive")
-            count = np.floor(self.duration * rate + 1e-9) + 1  # checked before allocating
-            if count > MAX_GRID_POINTS:
-                raise ValueError(
-                    f"{name} {rate:g} over duration {self.duration:g} s gives {count:.0f} "
-                    f"samples, more than the limit of {MAX_GRID_POINTS}"
-                )
+            _grid_count(self.duration, rate, f"{name} {rate:g} over duration {self.duration:g} s")
         try:
             pairs = [(d, a) for d, a in self.segments]
         except (TypeError, ValueError):
@@ -196,8 +191,9 @@ def _truth_state(
     return distance, speed, a
 
 
-def _rate_grid(start: float, end: float, rate_hz: float) -> UniformGrid:
-    return UniformGrid(start, rate_hz, int(np.floor((end - start) * rate_hz + 1e-9)) + 1)
+def _rate_grid(start: float, end: float, rate_hz: float, name: str) -> UniformGrid:
+    what = f"{name} {rate_hz:g} over {end - start:g} s"
+    return UniformGrid(start, rate_hz, _grid_count(end - start, rate_hz, what))
 
 
 def generate_truth(config: ScenarioConfig) -> KinematicTrack:
@@ -206,7 +202,7 @@ def generate_truth(config: ScenarioConfig) -> KinematicTrack:
     Raises if the configured motion drives the obstacle past the
     crossing point (negative distance) within the duration.
     """
-    grid = _rate_grid(0.0, config.duration, config.truth_rate_hz)
+    grid = _rate_grid(0.0, config.duration, config.truth_rate_hz, "truth_rate_hz")
     distance, speed, accel = _truth_state(config, grid.times())
     if np.any(distance < -1e-9):
         raise ValueError("scenario drives the obstacle past the crossing point")
@@ -249,7 +245,7 @@ def sample_sensor(
     """
     if not _is_positive_rate(rate_hz):
         raise ValueError(f"rate_hz must be a finite positive number, got {rate_hz!r}")
-    times = _rate_grid(truth.grid.start, truth.grid.end, rate_hz).times()
+    times = _rate_grid(truth.grid.start, truth.grid.end, rate_hz, "rate_hz").times()
     true_d = np.interp(times, truth.grid.times(), truth.distance)
     rng = np.random.default_rng(seed)
 

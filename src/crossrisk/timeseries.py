@@ -116,6 +116,20 @@ def _is_positive_rate(rate_hz) -> bool:
     return _is_finite_real(rate_hz) and rate_hz > 0
 
 
+def _grid_count(span: float, rate_hz: float, what: str) -> int:
+    """Instants of a grid at ``rate_hz`` over ``span`` seconds, both ends included.
+
+    More than ``MAX_GRID_POINTS`` is a ValueError, raised before anything
+    is allocated, whose message begins with ``what`` (the field and span).
+    """
+    count = np.floor(span * rate_hz + 1e-9) + 1
+    if count > MAX_GRID_POINTS:
+        raise ValueError(
+            f"{what} gives {count:.0f} grid points, more than the limit of {MAX_GRID_POINTS}"
+        )
+    return int(count)
+
+
 @dataclass(frozen=True)
 class UniformGrid:
     """Uniform sampling grid: ``count`` instants from ``start`` at ``rate_hz``.
@@ -242,11 +256,6 @@ def align(
         raise ValueError(f"resample_hz must be a finite positive number, got {rate_hz!r}")
     start = min(s.span[0] for s in series_list)
     end = max(s.span[1] for s in series_list)
-    count = np.floor((end - start) * rate_hz + 1e-9) + 1
-    if count > MAX_GRID_POINTS:
-        raise ValueError(
-            f"resample_hz {rate_hz:g} over {end - start:g} s gives {count:.0f} grid "
-            f"points, more than the limit of {MAX_GRID_POINTS}"
-        )
-    grid = UniformGrid(start=start, rate_hz=rate_hz, count=int(count))
+    count = _grid_count(end - start, rate_hz, f"resample_hz {rate_hz:g} over {end - start:g} s")
+    grid = UniformGrid(start=start, rate_hz=rate_hz, count=count)
     return grid, [resample(s, grid, max_gap=max_gap) for s in series_list]

@@ -27,11 +27,11 @@ from crossrisk import (
     RunConfig,
     ScenarioConfig,
     SensorSet,
-    classification_report,
     danger_series,
     danger_value,
     decide,
     decisions_from_series,
+    evaluate_source,
     fuse_all,
     generate_run,
     kinematic_safety_check,
@@ -287,9 +287,9 @@ def test_criterion_6_metrics_oracles():
                     tn += 1
             if tp + fp + tn + fn == 0:
                 with pytest.raises(InsufficientDataError):
-                    classification_report(pred, truth)
+                    evaluate_source(None, pred, None, truth)
                 continue
-            report = classification_report(pred, truth)
+            report = evaluate_source(None, pred, None, truth)
             assert (report.tp, report.fp, report.tn, report.fn) == (tp, fp, tn, fn)
             assert report.excluded_points == excluded
 

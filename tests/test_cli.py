@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import numbers
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +44,7 @@ SCENARIO = {
     "segments": [[2.5, 0.2], [2.0, -0.6], [1.5, 0.0]],
     "seed": 20240517,
 }
+SCENARIO_TEXT = json.dumps(SCENARIO).encode()
 GOLDEN_SCENARIO = Path(__file__).parent / "golden" / "braking_scenario.json"
 SENSOR_HEADER = "timestamp,distance_range,distance_wheelchair,distance_drone,distance_tracker\n"
 
@@ -342,6 +346,28 @@ class TestCliCommands:
         assert main(["plotdata", str(trace), str(out)]) == 0
         assert out.read_text().splitlines()[1:] == ["0,a,1", "1,a,3", "0,b,2", "1,b,4"]
 
+    def test_plotdata_skips_blank_and_all_empty_rows(self, tmp_path):
+        # an all-empty row used to give a g_star row with an empty timestamp
+        trace = tmp_path / "trace.csv"
+        trace.write_text("timestamp,g_a,b\n0,1,2\n,,\n\n,\n1,,4\n")
+        out = tmp_path / "plot.csv"
+        assert main(["--threshold", "0.5", "plotdata", str(trace), str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == [
+            "0,g_a,1", "0,b,2", "1,b,4", "0,g_star,0.500000", "1,g_star,0.500000"
+        ]
+
+    def test_stray_quote_is_data_error(self, tmp_path, capsys):
+        # the quoted field runs to the end of the file, past csv's field size limit
+        rows = [f"{i / 100:.6f},2.0,," for i in range(20_000)]
+        recording = tmp_path / "sensors.csv"
+        recording.write_text("timestamp,distance_range,distance_wheelchair,distance_drone\n"
+                             '"' + "\n".join(rows) + "\n")
+        for command in (["ingest"], ["plotdata", str(tmp_path / "plot.csv")]):
+            assert main([command[0], str(recording), *command[1:]]) == 2
+            err = capsys.readouterr().err
+            assert f"error: {recording}: line " in err and "field larger than field limit" in err
+            assert "Traceback" not in err
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["fuse", str(tmp_path / "nope.csv"), str(tmp_path / "out.csv")]) == 2
 
@@ -350,6 +376,13 @@ class TestCliCommands:
         assert main(["simulate", str(GOLDEN_SCENARIO), str(tmp_path)]) == 2
         assert "Is a directory" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "sensors.csv"]
+
+    def test_output_under_a_regular_file_is_data_error(self, sensors_csv, capsys):
+        # NotADirectoryError used to end in a traceback (exit 3)
+        assert main(["fuse", str(sensors_csv), str(sensors_csv / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"Not a directory: '{sensors_csv / 'x.csv'}'" in err
+        assert "Traceback" not in err
 
     def test_usage_error_exit_code(self):
         assert main(["frobnicate"]) == 1
@@ -438,12 +471,26 @@ class TestCliCommands:
             ("scenario", {"segments": [[1, "a"]]}, "segments must hold finite numbers"),
             ("scenario", {"sensors": {"rsu": {"bogus": 1}}}, "sensors.rsu: unknown keys ['bogus']"),
             ("config", {"danger": {"bogus": 1}}, "danger: unknown keys ['bogus']"),
+            # a repeated key used to keep its last value, silently
+            ("config", b'{"max_gap_s": 0.5, "max_gap_s": 2.0}', "duplicate key 'max_gap_s'"),
+            (
+                "config",
+                b'{"danger": {"threshold": 1, "threshold": 2}}',
+                "duplicate key 'threshold'",
+            ),
+            ("scenario", SCENARIO_TEXT[:-1] + b', "seed": 3}', "duplicate key 'seed'"),
+            (
+                "scenario",
+                SCENARIO_TEXT[:-1] + b', "sensors": {"rsu": {}, "rsu": {"relative_noise": 1}}}',
+                "duplicate key 'rsu'",
+            ),
         ],
         ids=[
             "unknown_as_safe-string", "danger-int", "danger-list", "threshold-bool",
             "seed-string", "seed-float", "seed-bool", "seed-negative", "config-bad-json",
             "max_gap_s-negative", "config-not-utf8", "scenario-not-utf8",
             "segments-string", "sensor-unknown-key", "danger-unknown-key",
+            "config-duplicate", "danger-duplicate", "scenario-duplicate", "sensors-duplicate",
         ],
     )
     def test_bad_config_or_scenario_names_file_and_field(
@@ -632,3 +679,31 @@ class TestCliCommands:
         rows = json.loads(capsys.readouterr().out)
         assert rows[1] == {"source": "camera_aw", "error": "insufficient data"}
         assert rows == [report_to_dict(s, reports[s]) for s in EVALUATION_SOURCES]
+
+
+@settings(deadline=None, max_examples=15)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    camera_range=st.none() | st.floats(0.01, 10.0),  # None: unlimited range
+)
+def test_repeated_runs_give_identical_bytes(seed, camera_range):
+    """simulate, fuse, evaluate --json and plotdata give the same bytes on a second run."""
+
+    def run(directory: Path) -> list[bytes]:
+        directory.mkdir()
+        cameras = {"detection_range": camera_range}
+        sensors = {"camera_aw": cameras, "camera_drone": cameras}
+        scenario = {**SCENARIO, "seed": seed, "sensors": sensors}
+        (directory / "scenario.json").write_text(json.dumps(scenario))
+        names = ("scenario.json", "sensors.csv", "fused.csv", "plot.csv")
+        files = [directory / name for name in names]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["simulate", *map(str, files[:2])]) == 0
+            assert main(["fuse", *map(str, files[1:3])]) == 0
+            assert main(["evaluate", "--json", str(files[1])]) == 0
+            assert main(["plotdata", *map(str, files[2:])]) == 0
+        return [path.read_bytes() for path in files[1:]] + [stdout.getvalue().encode()]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run(Path(tmp) / "first") == run(Path(tmp) / "second")

@@ -1,4 +1,4 @@
-"""CSV writers: the column-at-once number formatter against per-row oracles."""
+"""CSV writers and the recording reader, each against a per-row oracle."""
 
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from crossrisk.fusion import CAMERA_AW, CAMERA_DRONE, RSU, TRACKER
 from crossrisk.io import (
     FUSED_HEADER,
     SENSOR_COLUMNS,
+    SensorCsvError,
     _float_words,
     _signed_ticks,
     read_sensor_csv,
@@ -275,3 +276,154 @@ def test_completed_write_replaces_the_target_with_the_mode_of_open(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "old.csv", "plain.csv"]
     with pytest.raises(IsADirectoryError):
         write_sensor_csv(tmp_path, simulate_recording(ScenarioConfig(1.0, 2.0)))
+
+
+def seed_read_sensor_csv(path):
+    """The row parser that ``read_sensor_csv`` replaced, kept as its oracle."""
+
+    def parse_float(text, row, column):
+        if text == "":
+            return math.nan
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise SensorCsvError(f"row {row}: column {column!r}: not a number: {text!r}") from exc
+        if not math.isfinite(value):
+            raise SensorCsvError(f"row {row}: column {column!r}: non-finite value {text!r}")
+        return value
+
+    required = ["timestamp", "distance_range", "distance_wheelchair", "distance_drone"]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SensorCsvError("empty file") from None
+        if [h.strip() for h in header[: len(required)]] != required:
+            raise SensorCsvError(
+                f"header must start with {','.join(required)!r}, got {','.join(header)!r}"
+            )
+        has_tracker = len(header) > 4 and header[4].strip() == "distance_tracker"
+        n_cols = 5 if has_tracker else 4
+        times = []
+        columns = [[] for _ in range(n_cols - 1)]
+        for row_no, row in enumerate(reader, start=2):
+            if not row or all(cell == "" for cell in row):
+                continue
+            if len(row) < n_cols:
+                raise SensorCsvError(f"row {row_no}: expected at least {n_cols} fields")
+            t = parse_float(row[0], row_no, "timestamp")
+            if math.isnan(t):
+                raise SensorCsvError(f"row {row_no}: timestamp must not be empty")
+            if times and t <= times[-1]:
+                raise SensorCsvError(f"row {row_no}: timestamps must be strictly increasing")
+            times.append(t)
+            for i in range(1, n_cols):
+                columns[i - 1].append(parse_float(row[i], row_no, header[i].strip()))
+    if not times:
+        raise SensorCsvError("file contains no data rows")
+    t_arr = np.array(times)
+    return {
+        sensor_id: TimeSeries(t_arr, np.array(values))
+        for (_, sensor_id), values in zip(SENSOR_COLUMNS, columns)
+    }
+
+
+def read_outcome(reader, path):
+    """The streams as exact bytes, or the error message."""
+    try:
+        streams = reader(path)
+    except SensorCsvError as exc:
+        return str(exc)
+    return {k: (s.times.tobytes(), s.values.tobytes()) for k, s in streams.items()}
+
+
+def first_short_row(path):
+    """The message for the first non-blank row shorter than the header, or None."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        width = len(next(reader))
+        for row in reader:
+            if any(row) and len(row) < width:
+                return f"line {reader.line_num}: {len(row)} fields, the header has {width}"
+    return None
+
+
+ODD_CELLS = st.sampled_from(
+    ["", " ", " 1.5 ", "\t2", '"2.5"', '""', '" "', '"3\n"', '"1,5"', '"a\r\nb"', "1_0",
+     "nan", "NaN", "-nan", "inf", "-Infinity", "1e400", "oops", "0x10", "--1"]
+)
+NUMBER_CELLS = st.floats(0.0, 500.0).map(lambda v: f"{v:.6f}")
+CELLS = st.one_of(NUMBER_CELLS, NUMBER_CELLS, st.just(""), ODD_CELLS)
+
+
+@st.composite
+def recordings(draw):
+    """CSV text of a recording with blank, all-empty, short and long rows and odd cells."""
+    header = ["timestamp", "distance_range", "distance_wheelchair", "distance_drone"]
+    if draw(st.booleans()):
+        header.append("distance_tracker")
+    header += [f"extra{i}" for i in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        header = [f" {name} " if draw(st.booleans()) else name for name in header]
+    lines = [",".join(header)]
+    t = 0.0
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["data"] * 6 + ["blank", "all-empty", "short", "long"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "all-empty":
+            lines.append("," * draw(st.integers(1, len(header) + 1)))
+            continue
+        t += draw(st.sampled_from([0.01, 0.01, 0.01, 0.5, 0.0, -0.01]))
+        time_cell = draw(st.one_of(st.just(f"{t:.6f}"), st.just(f"{t:.6f}"), CELLS))
+        cells = [time_cell] + [draw(CELLS) for _ in header[1:]]
+        if kind == "short":
+            cells = cells[: draw(st.integers(1, len(header) - 1))]
+        elif kind == "long":
+            cells += draw(st.lists(CELLS, min_size=1, max_size=2))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@settings(deadline=None, max_examples=400)
+@given(text=recordings())
+@example(text="timestamp,distance_range,distance_wheelchair,distance_drone\n\n,,,\n0,1,,\n0,2,,\n")
+@example(text="timestamp,distance_range,distance_wheelchair,distance_drone\n0,\"1\n\",,\n1,x,,\n")
+def test_reader_matches_the_row_parser(text):
+    """Same arrays, or the same message with the same row, as the row parser.
+
+    The one permitted difference: a non-blank row shorter than the header
+    is always the reader's "line N" error (see the two example tests below).
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sensors.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        got = read_outcome(read_sensor_csv, path)
+        short = first_short_row(path)
+        want = short if short is not None else read_outcome(seed_read_sensor_csv, path)
+    assert got == want
+
+
+def test_short_row_error_names_its_line(tmp_path):
+    path = tmp_path / "sensors.csv"
+    path.write_text(
+        "timestamp,distance_range,distance_wheelchair,distance_drone,distance_tracker\n"
+        '0.0,1.0,"2\n",,1.0\n0.1,1.0\n'  # a quoted line break: row 3 ends on line 4
+    )
+    with pytest.raises(SensorCsvError, match="row 3: expected at least 5 fields"):
+        seed_read_sensor_csv(path)
+    with pytest.raises(SensorCsvError, match=r"^line 4: 2 fields, the header has 5$"):
+        read_sensor_csv(path)
+
+
+def test_row_missing_only_extra_fields_is_rejected(tmp_path):
+    path = tmp_path / "sensors.csv"
+    path.write_text(
+        "timestamp,distance_range,distance_wheelchair,distance_drone,note\n"
+        "0.0,1.0,,,start\n0.1,1.0,,\n"
+    )
+    assert set(seed_read_sensor_csv(path)) == {RSU, CAMERA_AW, CAMERA_DRONE}
+    with pytest.raises(SensorCsvError, match=r"^line 3: 4 fields, the header has 5$"):
+        read_sensor_csv(path)

@@ -10,7 +10,6 @@ from crossrisk import (
     Decision,
     InsufficientDataError,
     ScenarioConfig,
-    classification_report,
     danger_series,
     decisions_from_series,
     evaluate_run,
@@ -70,48 +69,50 @@ class TestRmse:
 
 
 class TestClassificationReport:
+    """Confusion counts through `evaluate_source` with no scores (no RMSE)."""
+
     def test_hand_counts(self):
-        report = classification_report([D, D, S, S], [D, S, S, S])
+        report = evaluate_source(None, [D, D, S, S], None, [D, S, S, S])
         assert (report.tp, report.fp, report.tn, report.fn) == (1, 1, 2, 0)
         assert report.accuracy == pytest.approx(0.75)
         assert report.precision == pytest.approx(0.5)
         assert report.recall == pytest.approx(1.0)
 
     def test_perfect_agreement(self):
-        report = classification_report([D, S, D], [D, S, D])
+        report = evaluate_source(None, [D, S, D], None, [D, S, D])
         assert report.accuracy == report.precision == report.recall == 1.0
 
     def test_all_dangerous_prediction(self):
         truth = [D, D, S, S]
-        report = classification_report([D, D, D, D], truth)
+        report = evaluate_source(None, [D, D, D, D], None, truth)
         assert report.recall == 1.0
         assert report.precision == pytest.approx(0.5)
         assert report.accuracy == pytest.approx(0.5)
 
     def test_unknown_excluded(self):
-        report = classification_report([D, U, S], [D, S, U])
+        report = evaluate_source(None, [D, U, S], None, [D, S, U])
         assert report.evaluated_points == 1
         assert report.excluded_points == 2
         assert report.tp == 1
 
     def test_unknown_as_safe_switch(self):
-        report = classification_report([U, U], [D, S], unknown_as_safe=True)
+        report = evaluate_source(None, [U, U], None, [D, S], unknown_as_safe=True)
         assert (report.fn, report.tn) == (1, 1)
         assert report.excluded_points == 0
 
     def test_degenerate_precision_flagged(self):
-        report = classification_report([S, S], [S, D])
+        report = evaluate_source(None, [S, S], None, [S, D])
         assert report.precision == 1.0
         assert report.precision_defaulted
 
     def test_degenerate_recall_flagged(self):
-        report = classification_report([S, D], [S, S])
+        report = evaluate_source(None, [S, D], None, [S, S])
         assert report.recall == 1.0
         assert report.recall_defaulted
 
     def test_no_evaluated_points_raises(self):
         with pytest.raises(InsufficientDataError):
-            classification_report([U, U], [D, S])
+            evaluate_source(None, [U, U], None, [D, S])
 
     def test_counts_sum_to_evaluated(self, rng):
         options = [D, S, U]
@@ -120,7 +121,7 @@ class TestClassificationReport:
             pred = [options[i] for i in rng.integers(0, 3, n)]
             truth = [options[i] for i in rng.integers(0, 2, n)]
             try:
-                report = classification_report(pred, truth)
+                report = evaluate_source(None, pred, None, truth)
             except InsufficientDataError:
                 continue
             assert report.tp + report.fp + report.tn + report.fn == report.evaluated_points
@@ -146,14 +147,14 @@ class TestClassificationReport:
                     tn += 1
             if tp + fp + tn + fn == 0:
                 with pytest.raises(InsufficientDataError):
-                    classification_report(pred, truth)
+                    evaluate_source(None, pred, None, truth)
                 continue
-            report = classification_report(pred, truth)
+            report = evaluate_source(None, pred, None, truth)
             assert (report.tp, report.fp, report.tn, report.fn) == (tp, fp, tn, fn)
 
     def test_invariant_under_appending_unknowns(self):
-        base = classification_report([D, S, D], [D, D, S])
-        extended = classification_report([D, S, D, U, U], [D, D, S, D, S])
+        base = evaluate_source(None, [D, S, D], None, [D, D, S])
+        extended = evaluate_source(None, [D, S, D, U, U], None, [D, D, S, D, S])
         assert base.precision == extended.precision
         assert base.recall == extended.recall
 

@@ -157,6 +157,11 @@ class TestSampleSensor:
         with pytest.raises(ValueError, match="rate_hz"):
             sample_sensor(self.TRUTH, RangeSensorModel(), rate_hz)
 
+    def test_rate_over_the_point_limit_named(self):
+        # refused before the 5e12 sample instants are allocated
+        with pytest.raises(ValueError, match=r"rate_hz 1e\+12 over 5 s gives .* the limit"):
+            sample_sensor(self.TRUTH, RangeSensorModel(), 1e12)
+
     def test_zero_noise_range_sensor_exact(self):
         out = sample_sensor(self.TRUTH, RangeSensorModel(relative_noise=0.0), 10.0, seed=1)
         expected = np.interp(out.times, self.TRUTH.grid.times(), self.TRUTH.distance)
