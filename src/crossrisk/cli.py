@@ -177,8 +177,7 @@ def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_plotdata(args: argparse.Namespace, config: RunConfig) -> int:
     try:
-        header, columns = crio.read_csv_columns(args.input)
-        crio.write_plot_csv(args.output, header, columns, threshold=config.danger.threshold)
+        crio.plot_csv(args.input, args.output, threshold=config.danger.threshold)
     except ValueError as exc:  # name the input, as for a recording
         raise ValueError(f"{args.input}: {exc}") from exc
     return 0

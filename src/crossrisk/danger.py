@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import KinematicTrack
-from .timeseries import TimeSeries, _check_field_kinds
+from .timeseries import TimeSeries, _check_field_kinds, _frozen
 
 
 class Decision(enum.Enum):
@@ -151,7 +151,7 @@ def decide(g: float | None, params: DangerParams = DangerParams()) -> Decision:
 def danger_series(track: KinematicTrack, params: DangerParams = DangerParams()) -> TimeSeries:
     """Danger score per grid point; missing wherever any kinematic input is missing."""
     values = _danger_values(track.distance, track.speed, track.acceleration, params)
-    return TimeSeries(track.grid.times(), values)
+    return TimeSeries(track.grid.times(), _frozen(values))
 
 
 def decisions_from_series(

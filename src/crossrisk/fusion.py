@@ -27,7 +27,7 @@ from .danger import (
     danger_series,
 )
 from .kinematics import KinematicTrack, differentiate
-from .timeseries import TimeSeries, UniformGrid, align, smooth_trailing
+from .timeseries import TimeSeries, UniformGrid, _frozen, align, smooth_trailing
 
 RSU = "rsu"
 CAMERA_AW = "camera_aw"
@@ -151,12 +151,12 @@ def fuse_all(
     if not fusable:
         raise ValueError("no fusable sensors")
     fused_d, available_count = _available_mean(np.vstack([t.distance for t in fusable.values()]))
-    distance_fused = TimeSeries(grid.times(), fused_d)
+    distance_fused = TimeSeries(grid.times(), _frozen(fused_d))
     fused_track = differentiate(distance_fused, grid, smooth_window=derivative_smooth_window)
     g_distance = danger_series(fused_track, params)
     sensor_g = {s: danger_series(t, params) for s, t in sensors.tracks.items()}
     stacked_g = np.vstack([sensor_g[s].values for s in fusable])
-    g_danger = TimeSeries(grid.times(), _available_mean(stacked_g)[0])
+    g_danger = TimeSeries(grid.times(), _frozen(_available_mean(stacked_g)[0]))
 
     # each sensor votes its threshold decision; UNKNOWN abstains, ties go DANGEROUS
     codes = _decision_codes(stacked_g, params.threshold)

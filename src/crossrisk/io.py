@@ -7,14 +7,16 @@ files.  Empty CSV fields mean "missing".
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import io
 import json
 import os
 import stat
+from itertools import accumulate, compress, islice
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .metrics import (
     VOTING_FUSION,
     EvaluationReport,
 )
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, _frozen
 
 
 class SensorCsvError(ValueError):
@@ -70,6 +72,9 @@ TABLE_LABELS = {
 # Rows are formatted this many at a time, which bounds the writers'
 # transient memory to a few MiB whatever the length of the trace.
 _BLOCK_ROWS = 4096
+# Records are tokenized this many at a time: with 4096 row lists alive, the garbage
+# collector swept the whole heap about once per plotdata of a 60 001-row trace.
+_READ_ROWS = 512
 # At and above this magnitude |x| * 1e6 is no longer an exact float64 integer.
 _EXACT_LIMIT = 2.0**53 / 1e6
 
@@ -213,12 +218,12 @@ def _parse_column(cells: Sequence[str]) -> np.ndarray:
 
 
 def _column_faults(name: str, cells: list[str]) -> tuple[np.ndarray, list[tuple[int, str]]]:
-    """A recording column as floats, and its faults as ``(row index, message)`` pairs.
+    """A recording column as read-only floats, and its faults as ``(row index, message)`` pairs.
 
     A fault is a cell that is not a number (the floats end before it), a
-    non-finite value, and in the timestamp column an empty cell or a
-    timestamp not above the one before.  Cells are looked at one by one
-    only to locate a fault.
+    non-finite value, in a distance column a negative distance, and in the
+    timestamp column an empty cell or a timestamp not above the one before.
+    Cells are looked at one by one only to locate a fault.
     """
     faults = []
     try:
@@ -242,7 +247,12 @@ def _column_faults(name: str, cells: list[str]) -> tuple[np.ndarray, list[tuple[
         rising = values[1:] > values[:-1]
         if not rising.all():
             faults.append((int(rising.argmin()) + 1, "timestamps must be strictly increasing"))
-    return values, faults
+    else:
+        negative = np.flatnonzero(values < 0)  # -0.0 is not; -inf is reported as non-finite
+        if negative.size:
+            i = int(negative[0])
+            faults.append((i, f"column {name!r}: negative distance {cells[i]!r}"))
+    return _frozen(values), faults
 
 
 def read_sensor_csv(path: str | Path) -> dict[str, TimeSeries]:
@@ -344,39 +354,76 @@ def write_fused_csv(
 
 
 def read_csv_columns(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Read any CSV as a header plus string columns.
-
-    This is the one CSV dialect of the package: a row with no fields, or
-    with only empty fields, is blank and skipped; a non-blank row shorter
-    than the header is a :class:`SensorCsvError` naming its line; fields
-    beyond the header are ignored.
-    """
+    """Read any CSV as a header plus string columns, the dialect of :func:`_blocks`."""
     return _read_columns(path)[:2]
 
 
 def _read_columns(path: str | Path) -> tuple[list[str], list[list[str]], list[int]]:
     """:func:`read_csv_columns`, plus for each blank row the number of rows kept before it."""
+    blocks = _blocks(path)
+    header = next(blocks)
+    columns: list[list[str]] = [[] for _ in header]
+    blanks: list[int] = []
+    for block, block_blanks in blocks:
+        for column, cells in zip(columns, block):
+            column += cells
+        blanks += block_blanks
+    return header, columns, blanks
+
+
+def _blocks(path: str | Path):
+    """The one CSV tokenizer: the header, then ``(columns, blanks)`` per ``_READ_ROWS`` records.
+
+    This is the one CSV dialect of the package: a row with no fields, or
+    with only empty fields, is blank and skipped (``blanks`` gives, for
+    each, the number of rows kept before it in the file); a non-blank row
+    shorter than the header is a :class:`SensorCsvError` naming its line;
+    fields beyond the header are ignored.
+    """
+    width = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None:
                 raise SensorCsvError("empty file")
-            columns: list[list[str]] = [[] for _ in header]
-            blanks: list[int] = []
+            width = len(header)
+            yield header
+            kept = 0
+            while rows := list(islice(reader, _READ_ROWS)):
+                nonblank = list(map(any, rows))
+                blanks = []
+                if not all(nonblank):
+                    before = accumulate(nonblank, initial=kept)
+                    blanks = [n for n, keep in zip(before, nonblank) if not keep]
+                    rows = list(compress(rows, nonblank))
+                if rows and min(map(len, rows)) < width:
+                    _raise_first_fault(path, width)
+                kept += len(rows)
+                yield (list(zip(*rows))[:width] if rows else [()] * width), blanks
+        except (csv.Error, UnicodeDecodeError):  # a short row read before it is reported first
+            _raise_first_fault(path, width)
+
+
+def _raise_first_fault(path: str | Path, width: int) -> NoReturn:
+    """Re-read ``path`` one record at a time and raise its first short row or read error."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
             for row in reader:
-                if not any(row):
-                    blanks.append(len(columns[0]) if columns else 0)
-                elif len(row) < len(header):
+                if any(row) and len(row) < width:
                     raise SensorCsvError(
-                        f"line {reader.line_num}: {len(row)} fields, the header has {len(header)}"
+                        f"line {reader.line_num}: {len(row)} fields, the header has {width}"
                     )
-                else:
-                    for column, cell in zip(columns, row):
-                        column.append(cell)
-        except csv.Error as exc:  # a stray quote can run a field past csv's size limit
+        except csv.Error as exc:
             raise SensorCsvError(f"line {reader.line_num}: {exc}") from None
-    return header, columns, blanks
+    raise SensorCsvError("the file changed while it was read")
+
+
+def plot_csv(source: str | Path, output: str | Path, threshold: float | None = None) -> None:
+    """Melt the CSV trace at ``source`` into plot rows at ``output``, which may be ``source``."""
+    blocks = _blocks(source)
+    _melt(output, next(blocks), (columns for columns, _ in blocks), threshold)
 
 
 def write_plot_csv(
@@ -385,36 +432,49 @@ def write_plot_csv(
     columns: Sequence[Sequence[str]],
     threshold: float | None = None,
 ) -> None:
-    """Melt a wide trace into long ``timestamp,series,value`` rows.
+    """:func:`plot_csv` of a trace already read into ``header`` and equal-length ``columns``."""
+    rows = max(map(len, columns), default=0)
+    blocks = ([c[i : i + _BLOCK_ROWS] for c in columns] for i in range(0, rows, _BLOCK_ROWS))
+    _melt(path, header[: max(len(columns), 1)], blocks, threshold)  # no cells, no series
+
+
+def _melt(path: str | Path, header: Sequence[str], blocks: Iterable, threshold: float | None):
+    """Melt a wide trace, a block of columns at a time, into ``timestamp,series,value`` rows.
 
     Only numeric columns are emitted (decision labels are not plottable
-    values); when ``threshold`` is given and the input carries danger
-    scores, a constant ``g_star`` series is appended as the reference
-    line.
+    values): a column is dropped at its first cell that is neither empty
+    nor a ``float()``.  When ``threshold`` is given and the input carries
+    danger scores, a constant ``g_star`` series is appended as the
+    reference line.  ``path`` is opened only once ``blocks`` is exhausted.
     """
     if not header or header[0] != "timestamp":
+        collections.deque(blocks, maxlen=0)  # a fault in the rows is reported first
         raise SensorCsvError("plot input must have a leading timestamp column")
-    timestamps = _csv_fields(columns[0] if columns else [])
+    infixes = {i: f",{_csv_fields([name])[0]}," for i, name in enumerate(header[1:], 1)}
+    melted: dict[int, list[str]] = {i: [] for i in infixes}
+    suffix = None if threshold is None else f",g_star,{threshold:.6f}\n"
+    g_star = []
+    for columns in blocks:
+        ts = _csv_fields(columns[0])
+        for i in list(melted):
+            try:
+                collections.deque(map(float, filter(None, columns[i])), maxlen=0)
+            except ValueError:  # labels are not plottable values
+                del melted[i]
+                continue
+            cells = _csv_fields(columns[i])
+            values = list(filter(None, cells))
+            rows = [None, infixes[i], None, "\n"] * len(values)
+            rows[::4] = compress(ts, cells)
+            rows[2::4] = values
+            melted[i].append("".join(rows))
+        if ts and suffix:
+            g_star.append(suffix.join(ts) + suffix)
     with _replacing(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("timestamp,series,value\n")
-        numeric_series = []
-        for name, column in zip(header[1:], columns[1:]):
-            try:
-                _parse_column(column)
-            except ValueError:  # labels are not plottable values
-                continue
-            numeric_series.append(name)
-            infix = f",{_csv_fields([name])[0]},"
-            cells = _csv_fields(column)
-            for start in range(0, min(len(timestamps), len(cells)), _BLOCK_ROWS):
-                block = slice(start, start + _BLOCK_ROWS)
-                rows = zip(timestamps[block], cells[block])
-                fh.write("".join([t + infix + c + "\n" for t, c in rows if c]))
-        has_scores = any(name.startswith("g_") or name.startswith("danger") for name in numeric_series)
-        if threshold is not None and has_scores:
-            suffix = f",g_star,{threshold:.6f}\n"
-            for start in range(0, len(timestamps), _BLOCK_ROWS):
-                fh.write("".join([t + suffix for t in timestamps[start : start + _BLOCK_ROWS]]))
+        fh.writelines(text for texts in melted.values() for text in texts)
+        if any(header[i].startswith(("g_", "danger")) for i in melted):
+            fh.writelines(g_star)
 
 
 def _csv_fields(cells: Sequence[str]) -> Sequence[str]:

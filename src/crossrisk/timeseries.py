@@ -39,6 +39,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, a fresh array that nobody else holds, made read-only so a TimeSeries shares it."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """One channel of timestamped readings.
@@ -178,7 +184,7 @@ def smooth_trailing(series: TimeSeries, window: int) -> TimeSeries:
     """
     if window < 1:
         raise ValueError("window must be at least 1")
-    return TimeSeries(series.times, _trailing_mean(series.values, window))
+    return TimeSeries(series.times, _frozen(_trailing_mean(series.values, window)))
 
 
 def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
@@ -221,7 +227,7 @@ def resample(series: TimeSeries, grid: UniformGrid, max_gap: float = 0.5) -> Tim
     tp = series.times[present]
     vp = series.values[present]
     if tp.size == 0:
-        return TimeSeries(target, out)
+        return TimeSeries(target, _frozen(out))
 
     idx = np.searchsorted(tp, target, side="left")
     exact = (idx < tp.size) & (tp[np.minimum(idx, tp.size - 1)] == target)
@@ -237,7 +243,7 @@ def resample(series: TimeSeries, grid: UniformGrid, max_gap: float = 0.5) -> Tim
         lo, hi = left[ok], right[ok]
         w = (target[sel] - tp[lo]) / (tp[hi] - tp[lo])
         out[sel] = vp[lo] * (1.0 - w) + vp[hi] * w
-    return TimeSeries(target, out)
+    return TimeSeries(target, _frozen(out))
 
 
 def align(

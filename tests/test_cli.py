@@ -368,6 +368,23 @@ class TestCliCommands:
             assert f"error: {recording}: line " in err and "field larger than field limit" in err
             assert "Traceback" not in err
 
+    def test_negative_distance_is_data_error(self, tmp_path, sensors_csv, capsys):
+        # fuse and evaluate used to stop in the scorer with a message naming no file or row
+        lines = sensors_csv.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines[1:], 2) if line.split(",")[1])
+        cells = lines[row - 1].split(",")
+        lines[row - 1] = ",".join([cells[0], "-1"] + cells[2:])
+        sensors_csv.write_text("\n".join(lines) + "\n")
+        message = (
+            f"error: {sensors_csv}: row {row}: column 'distance_range': negative distance '-1'"
+        )
+        out = tmp_path / "fused.csv"
+        for command in (["ingest"], ["fuse"], ["evaluate"]):
+            argv = [*command, str(sensors_csv)] + ([str(out)] if command == ["fuse"] else [])
+            assert main(argv) == 2
+            assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["fuse", str(tmp_path / "nope.csv"), str(tmp_path / "out.csv")]) == 2
 

@@ -6,8 +6,10 @@ import csv
 import io
 import json
 import math
+import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crossrisk.io
+import crossrisk.timeseries
 from crossrisk import (
     CameraSensorModel,
     ScenarioConfig,
@@ -25,6 +28,7 @@ from crossrisk import (
     sensor_set_from_streams,
     simulate_recording,
 )
+from crossrisk.cli import main
 from crossrisk.fusion import CAMERA_AW, CAMERA_DRONE, RSU, TRACKER
 from crossrisk.io import (
     FUSED_HEADER,
@@ -32,6 +36,8 @@ from crossrisk.io import (
     SensorCsvError,
     _float_words,
     _signed_ticks,
+    plot_csv,
+    read_csv_columns,
     read_sensor_csv,
     write_fused_csv,
     write_plot_csv,
@@ -279,7 +285,10 @@ def test_completed_write_replaces_the_target_with_the_mode_of_open(tmp_path):
 
 
 def seed_read_sensor_csv(path):
-    """The row parser that ``read_sensor_csv`` replaced, kept as its oracle."""
+    """The row parser that ``read_sensor_csv`` replaced, kept as its oracle.
+
+    It gained one rule since: a distance below zero is a fault.
+    """
 
     def parse_float(text, row, column):
         if text == "":
@@ -290,6 +299,8 @@ def seed_read_sensor_csv(path):
             raise SensorCsvError(f"row {row}: column {column!r}: not a number: {text!r}") from exc
         if not math.isfinite(value):
             raise SensorCsvError(f"row {row}: column {column!r}: non-finite value {text!r}")
+        if value < 0 and column != "timestamp":
+            raise SensorCsvError(f"row {row}: column {column!r}: negative distance {text!r}")
         return value
 
     required = ["timestamp", "distance_range", "distance_wheelchair", "distance_drone"]
@@ -351,7 +362,8 @@ def first_short_row(path):
 
 ODD_CELLS = st.sampled_from(
     ["", " ", " 1.5 ", "\t2", '"2.5"', '""', '" "', '"3\n"', '"1,5"', '"a\r\nb"', "1_0",
-     "nan", "NaN", "-nan", "inf", "-Infinity", "1e400", "oops", "0x10", "--1"]
+     "nan", "NaN", "-nan", "inf", "-Infinity", "1e400", "oops", "0x10", "--1", "-1",
+     "-0.000000", " -2.5e-3"]
 )
 NUMBER_CELLS = st.floats(0.0, 500.0).map(lambda v: f"{v:.6f}")
 CELLS = st.one_of(NUMBER_CELLS, NUMBER_CELLS, st.just(""), ODD_CELLS)
@@ -368,7 +380,7 @@ def recordings(draw):
         header = [f" {name} " if draw(st.booleans()) else name for name in header]
     lines = [",".join(header)]
     t = 0.0
-    for _ in range(draw(st.integers(0, 8))):
+    for _ in range(draw(st.integers(0, 10))):
         kind = draw(st.sampled_from(["data"] * 6 + ["blank", "all-empty", "short", "long"]))
         if kind == "blank":
             lines.append("")
@@ -387,17 +399,33 @@ def recordings(draw):
     return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
 
 
+READ_ROWS = crossrisk.io._READ_ROWS
+BLOCK_ROWS = st.sampled_from([1, 2, 3, 7, READ_ROWS])
+
+
+def blocks_of(rows):
+    """Tokenize and melt ``rows`` records at a time."""
+    return mock.patch.multiple(crossrisk.io, _READ_ROWS=rows, _BLOCK_ROWS=rows)
+
+
 @settings(deadline=None, max_examples=400)
-@given(text=recordings())
-@example(text="timestamp,distance_range,distance_wheelchair,distance_drone\n\n,,,\n0,1,,\n0,2,,\n")
-@example(text="timestamp,distance_range,distance_wheelchair,distance_drone\n0,\"1\n\",,\n1,x,,\n")
-def test_reader_matches_the_row_parser(text):
+@given(text=recordings(), block_rows=BLOCK_ROWS)
+@example(
+    text="timestamp,distance_range,distance_wheelchair,distance_drone\n\n,,,\n0,1,,\n0,2,,\n",
+    block_rows=2,
+)
+@example(
+    text="timestamp,distance_range,distance_wheelchair,distance_drone\n0,\"1\n\",,\n1,x,,\n",
+    block_rows=1,
+)
+def test_reader_matches_the_row_parser(text, block_rows):
     """Same arrays, or the same message with the same row, as the row parser.
 
     The one permitted difference: a non-blank row shorter than the header
     is always the reader's "line N" error (see the two example tests below).
+    Small row blocks put block edges among the blank, short and bad rows.
     """
-    with tempfile.TemporaryDirectory() as tmp:
+    with blocks_of(block_rows), tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sensors.csv"
         path.write_text(text, encoding="utf-8", newline="")
         got = read_outcome(read_sensor_csv, path)
@@ -427,3 +455,181 @@ def test_row_missing_only_extra_fields_is_rejected(tmp_path):
     assert set(seed_read_sensor_csv(path)) == {RSU, CAMERA_AW, CAMERA_DRONE}
     with pytest.raises(SensorCsvError, match=r"^line 3: 4 fields, the header has 5$"):
         read_sensor_csv(path)
+
+
+def test_pipeline_series_share_their_fresh_arrays(tmp_path, monkeypatch):
+    """No TimeSeries from reading, smoothing, resampling, scoring or fusion copies its arrays."""
+    path = tmp_path / "sensors.csv"
+    write_sensor_csv(path, simulate_recording(ScenarioConfig(2.0, 2.0)))
+    copied = []
+
+    def readonly(a):
+        out = readonly.original(a)
+        if out is not a:
+            copied.append(a)
+        return out
+
+    readonly.original = crossrisk.timeseries._readonly
+    monkeypatch.setattr(crossrisk.timeseries, "_readonly", readonly)
+    streams = read_sensor_csv(path)
+    assert len({id(s.times) for s in streams.values()}) == 1  # one timestamp array
+    trace = fuse_all(sensor_set_from_streams(streams))
+    assert trace.g_danger_fusion.times is trace.grid.times()
+    assert copied == []
+    TimeSeries(np.arange(2.0), np.zeros(2))  # a caller's writable arrays are still copied
+    assert len(copied) == 2
+
+
+def test_negative_distance_is_a_recording_fault(tmp_path):
+    path = tmp_path / "sensors.csv"
+    header = "timestamp,distance_range,distance_wheelchair,distance_drone,distance_tracker\n"
+    path.write_text(header + "0.0,1.0,-0.000000,,1.0\n0.1,-2,-1,,1.0\n0.2,x,,,1.0\n")
+    # the first fault in the file wins; within a row, the leftmost column's
+    message = "row 3: column 'distance_range': negative distance '-2'"
+    with pytest.raises(SensorCsvError, match=f"^{message}$"):
+        read_sensor_csv(path)
+    path.write_text(header + "0.0,1.0,-0.000000,,1.0\n0.1,2,,,-inf\n")
+    with pytest.raises(SensorCsvError, match="^row 3: column 'distance_tracker': non-finite"):
+        read_sensor_csv(path)
+    path.write_text(header + "-1.0,1.0,-0.000000,,1.0\n")  # a negative time is no distance
+    assert read_sensor_csv(path)[CAMERA_AW].values.tolist() == [0.0]
+
+
+def oracle_plot_of(path, threshold):
+    """The plot text of the trace at ``path`` read one row at a time, or the error message."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        columns = [[] for _ in header]
+        for row in reader:
+            if not any(row):
+                continue
+            if len(row) < len(header):
+                return f"line {reader.line_num}: {len(row)} fields, the header has {len(header)}"
+            for column, cell in zip(columns, row):
+                column.append(cell)
+    if header[0] != "timestamp":
+        return "plot input must have a leading timestamp column"
+    return oracle_plot_csv(header, columns, threshold)
+
+
+def plot_outcome(path, out, threshold):
+    """The bytes ``plot_csv`` writes, decoded, or its error message."""
+    try:
+        plot_csv(path, out, threshold)
+    except SensorCsvError as exc:
+        return str(exc)
+    return out.read_bytes().decode("utf-8")
+
+
+PLOT_NAMES = st.sampled_from(["g_a", "danger_b", "plain", "a,b", 'q"uote', "line\r\nbreak"])
+PLOT_NUMBERS = st.one_of(NUMBER_CELLS, st.just(""), st.sampled_from([" 2.5\r\n", "1_0", "-inf"]))
+PLOT_CELLS = st.one_of(PLOT_NUMBERS, st.sampled_from(["Safe", '3"', "1,5", "a\r\nb"]))
+
+
+@st.composite
+def wide_traces(draw):
+    """CSV text of a wide trace: numeric, label and late-label columns, odd rows and cells."""
+    names = draw(st.lists(PLOT_NAMES, min_size=0, max_size=4))
+    header = [draw(st.sampled_from(["timestamp"] * 5 + ["time"]))] + names
+    n = draw(st.integers(0, 16))
+    kinds = [draw(st.sampled_from(["numbers", "late-label", "any"])) for _ in names]
+    late = [draw(st.integers(0, max(n - 1, 0))) for _ in names]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(header)
+    for i in range(n):
+        kind = draw(st.sampled_from(["data"] * 8 + ["blank", "all-empty", "short", "long"]))
+        if kind == "blank":
+            writer.writerow([])
+            continue
+        if kind == "all-empty":
+            writer.writerow([""] * draw(st.integers(1, len(header) + 1)))
+            continue
+        row = [draw(st.one_of(st.just(f"{i / 100:.6f}"), PLOT_CELLS))]
+        for column_kind, first_label in zip(kinds, late):
+            if column_kind == "late-label" and i == first_label:
+                row.append("Dangerous")
+            else:
+                row.append(draw(PLOT_CELLS if column_kind == "any" else PLOT_NUMBERS))
+        if kind == "short":
+            row = row[: draw(st.integers(0, len(header) - 1))] if len(header) > 1 else []
+        elif kind == "long":
+            row += draw(st.lists(PLOT_CELLS, min_size=1, max_size=2))
+        writer.writerow(row)
+    return buffer.getvalue()
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=wide_traces(), block_rows=BLOCK_ROWS, threshold=st.sampled_from([None, 0.5]))
+@example(text="timestamp,g_a\n0,1\n1,x\n", block_rows=1, threshold=0.5)
+@example(text="time,g_a\n0,1\n1,2\n1\n", block_rows=1, threshold=0.5)
+def test_plot_csv_matches_the_row_oracle(text, block_rows, threshold):
+    """Same bytes or the same message as melting the whole trace one row at a time.
+
+    Small row blocks put a column's first label, short rows and the edges
+    of blank runs in later blocks.  The adapter over ``read_csv_columns``
+    and a melt in place give the same bytes.
+    """
+    with blocks_of(block_rows), tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "trace.csv", Path(tmp) / "plot.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        want = oracle_plot_of(path, threshold)
+        assert plot_outcome(path, out, threshold) == want
+        if want.startswith("timestamp,series,value\n"):
+            write_plot_csv(out, *read_csv_columns(path), threshold)
+            assert out.read_bytes().decode("utf-8") == want
+            assert plot_outcome(path, path, threshold) == want
+
+
+def test_plotdata_in_place_at_the_real_block_size(tmp_path):
+    trace, out = tmp_path / "fused.csv", tmp_path / "plot.csv"
+    write_fused_csv(trace, LONG_TRACE, LONG_TRACE.sensor_g)
+    assert LONG_TRACE.grid.count > crossrisk.io._BLOCK_ROWS > READ_ROWS
+    copy = tmp_path / "copy.csv"
+    shutil.copyfile(trace, copy)
+    assert main(["plotdata", str(trace), str(out)]) == 0
+    assert main(["plotdata", str(copy), str(copy)]) == 0
+    assert copy.read_bytes() == out.read_bytes()
+    assert out.read_text() == oracle_plot_of(trace, 1.0)
+
+
+def test_label_after_the_first_block_is_not_plotted(tmp_path):
+    late = 3 * READ_ROWS + 10
+    rows = [f"{i / 100:.6f},{i % 7}.5,{i % 5}" for i in range(late + 100)]
+    rows[late] = f"{late / 100:.6f},Safe,1"
+    trace, out = tmp_path / "trace.csv", tmp_path / "plot.csv"
+    trace.write_text("timestamp,g_late,g_number\n" + "\n".join(rows) + "\n")
+    plot_csv(trace, out, 1.0)
+    text = out.read_text()
+    assert ",g_late," not in text and text.count(",g_number,") == len(rows)
+    assert text == oracle_plot_of(trace, 1.0)
+
+
+def test_short_row_after_the_first_block_names_its_line(tmp_path):
+    header = "timestamp,distance_range,distance_wheelchair,distance_drone\n"
+    short = 3 * READ_ROWS + 10
+    rows = [f"{i / 100:.6f},2.0,," for i in range(short + 100)]
+    rows[3] = '0.030000,2.0,"1\n",'  # a quoted line break: later records end one line lower
+    rows[short] = f"{short / 100:.6f},2.0"
+    path = tmp_path / "sensors.csv"
+    path.write_text(header + "\n".join(rows) + "\n")
+    message = f"line {short + 3}: 2 fields, the header has 4"
+    assert first_short_row(path) == message
+    with pytest.raises(SensorCsvError, match=f"^{message}$"):
+        read_sensor_csv(path)
+    assert plot_outcome(path, tmp_path / "plot.csv", 1.0) == message
+
+
+def test_blank_rows_around_a_block_edge_keep_row_numbers(tmp_path):
+    header = "timestamp,distance_range,distance_wheelchair,distance_drone\n"
+    rows = [f"{i / 100:.6f},2.0,," for i in range(2 * READ_ROWS)]
+    rows[READ_ROWS - 2 : READ_ROWS + 3] = ["", ",,,", "", ",", ""]  # both sides of the first edge
+    path = tmp_path / "sensors.csv"
+    path.write_text(header + "\n".join(rows) + "\n")
+    assert read_outcome(read_sensor_csv, path) == read_outcome(seed_read_sensor_csv, path)
+    rows[READ_ROWS + 50] = f"{(READ_ROWS + 50) / 100:.6f},oops,,"
+    path.write_text(header + "\n".join(rows) + "\n")
+    message = f"row {READ_ROWS + 52}: column 'distance_range': not a number: 'oops'"
+    assert read_outcome(seed_read_sensor_csv, path) == message
+    assert read_outcome(read_sensor_csv, path) == message

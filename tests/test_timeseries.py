@@ -40,6 +40,19 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             s.values[0] = 9.0
 
+    def test_writable_array_copied_read_only_one_shared(self):
+        times, values = np.arange(3.0), np.array([1.0, np.nan, 3.0])
+        s = TimeSeries(times, values)
+        assert s.times is not times and s.values is not values
+        values[0] = 9.0
+        assert s.values[0] == 1.0
+        times.setflags(write=False)
+        values.setflags(write=False)
+        s = TimeSeries(times, values)
+        assert s.times is times and s.values is values
+        view = times[:2]  # read-only, but it holds no data of its own
+        assert TimeSeries(view, values[:2]).times is not view
+
 
 class TestUniformGrid:
     def test_times(self):
