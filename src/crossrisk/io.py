@@ -214,11 +214,12 @@ def _replacing(path: str | Path, mode: str = "wb", **open_kwargs):
 
 def _parse_column(cells: Sequence[str]) -> np.ndarray:
     """CSV cells as floats, an empty cell as NaN; a ValueError on any cell ``float()`` rejects."""
-    return np.fromiter(map(float, map({"": "nan"}.get, cells, cells)), float, len(cells))
+    filled = map({"": "nan"}.get, cells, cells) if "" in cells else cells
+    return np.fromiter(map(float, filled), float, len(cells))
 
 
-def _column_faults(name: str, cells: list[str]) -> tuple[np.ndarray, list[tuple[int, str]]]:
-    """A recording column as read-only floats, and its faults as ``(row index, message)`` pairs.
+def _column_faults(name: str, cells: list[str]) -> list[tuple[int, str]]:
+    """A recording column's faults as ``(row index, message)`` pairs.
 
     A fault is a cell that is not a number (the floats end before it), a
     non-finite value, in a distance column a negative distance, and in the
@@ -252,7 +253,7 @@ def _column_faults(name: str, cells: list[str]) -> tuple[np.ndarray, list[tuple[
         if negative.size:
             i = int(negative[0])
             faults.append((i, f"column {name!r}: negative distance {cells[i]!r}"))
-    return _frozen(values), faults
+    return faults
 
 
 def read_sensor_csv(path: str | Path) -> dict[str, TimeSeries]:
@@ -263,23 +264,50 @@ def read_sensor_csv(path: str | Path) -> dict[str, TimeSeries]:
     is optional (recordings without ground truth can still be fused) and
     any further columns are ignored.  Rows follow :func:`read_csv_columns`;
     an error names the row (the CSV record, the header being row 1).
+    Blocks of rows become floats as they arrive; each check then runs
+    once over whole columns, and only a failed one re-reads the file.
     """
+    blocks = _blocks(path)
+    names = [name.strip() for name in next(blocks)]
+    names = names[: 5 if names[4:5] == ["distance_tracker"] else 4]
+    parts: list[list[np.ndarray]] = [[] for _ in names]
+    empty = [0] * len(names)
+    if names[:4] == _REQUIRED_HEADER:
+        for block, _ in blocks:
+            try:
+                for k, cells in enumerate(block[: len(names)]):
+                    parts[k].append(_parse_column(cells))
+                    empty[k] += cells.count("")
+            except ValueError:  # a cell that is not a number
+                break
+        else:
+            times, *distances = (np.concatenate(part or [np.empty(0)]) for part in parts)
+            rising = times.size and np.isfinite(times).all() and (times[1:] > times[:-1]).all()
+            if rising and all(  # the only NaN are the empty cells
+                np.count_nonzero(~np.isfinite(d)) == n and not (d < 0).any()
+                for d, n in zip(distances, empty[1:])
+            ):
+                times = _frozen(times)
+                sensors = [s for _, s in SENSOR_COLUMNS]
+                return {s: TimeSeries(times, _frozen(d)) for s, d in zip(sensors, distances)}
+    blocks.close()
+    _raise_recording_fault(path, names)
+
+
+def _raise_recording_fault(path: str | Path, names: list[str]) -> NoReturn:
+    """Re-read the recording at ``path``, whose header reads ``names``; raise its first fault."""
     header, columns, blanks = _read_columns(path)
-    names = [name.strip() for name in header]
     if names[:4] != _REQUIRED_HEADER:
         raise SensorCsvError(
             f"header must start with {','.join(_REQUIRED_HEADER)!r}, got {','.join(header)!r}"
         )
     if not columns[0]:
         raise SensorCsvError("file contains no data rows")
-    names = names[: 5 if names[4:5] == ["distance_tracker"] else 4]
-    parsed = [_column_faults(name, cells) for name, cells in zip(names, columns)]
-    faults = [fault for _, column_faults in parsed for fault in column_faults]
+    faults = [f for name, cells in zip(names, columns) for f in _column_faults(name, cells)]
     if faults:  # the first in the file; within a row, the leftmost column's
         i, message = min(faults, key=lambda fault: fault[0])
         raise SensorCsvError(f"row {i + 2 + sum(b <= i for b in blanks)}: {message}")
-    times = parsed[0][0]
-    return {s: TimeSeries(times, v) for (_, s), (v, _) in zip(SENSOR_COLUMNS, parsed[1:])}
+    raise SensorCsvError("the file changed while it was read")
 
 
 def write_sensor_csv(path: str | Path, streams: Mapping[str, TimeSeries]) -> None:
@@ -381,7 +409,7 @@ def _blocks(path: str | Path):
     fields beyond the header are ignored.
     """
     width = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -407,7 +435,7 @@ def _blocks(path: str | Path):
 
 def _raise_first_fault(path: str | Path, width: int) -> NoReturn:
     """Re-read ``path`` one record at a time and raise its first short row or read error."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             for row in reader:

@@ -15,7 +15,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .timeseries import TimeSeries, UniformGrid, _check_field_kinds, _readonly, _trailing_mean
+from .timeseries import (
+    TimeSeries,
+    UniformGrid,
+    _check_field_kinds,
+    _frozen,
+    _readonly,
+    _trailing_mean,
+)
 
 
 @dataclass(frozen=True)
@@ -83,8 +90,9 @@ def differentiate(
     """
     if smooth_window < 1:
         raise ValueError("smooth_window must be at least 1")
-    if len(distance) != grid.count or not np.allclose(
-        distance.times, grid.times(), rtol=0.0, atol=1e-12
+    if distance.times is not grid.times() and (  # a series on the grid shares its times
+        len(distance) != grid.count
+        or not np.allclose(distance.times, grid.times(), rtol=0.0, atol=1e-12)
     ):
         raise ValueError("distance series does not lie on the track grid")
     d = distance.values
@@ -98,7 +106,7 @@ def differentiate(
     if smooth_window > 1:
         speed = _trailing_mean(speed, smooth_window)
         accel = _trailing_mean(accel, smooth_window)
-    return KinematicTrack(grid, d, speed, accel)
+    return KinematicTrack(grid, d, _frozen(speed), _frozen(accel))
 
 
 def time_to_cross(model: CrossingModel) -> float:

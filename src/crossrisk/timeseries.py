@@ -222,27 +222,22 @@ def resample(series: TimeSeries, grid: UniformGrid, max_gap: float = 0.5) -> Tim
             f"grid [{grid.start}, {grid.end}] does not overlap series span [{t0}, {t1}]"
         )
     target = grid.times()
-    out = np.full(grid.count, np.nan)
     present = series.present
     tp = series.times[present]
     vp = series.values[present]
     if tp.size == 0:
-        return TimeSeries(target, _frozen(out))
+        return TimeSeries(target, _frozen(np.full(grid.count, np.nan)))
 
     idx = np.searchsorted(tp, target, side="left")
-    exact = (idx < tp.size) & (tp[np.minimum(idx, tp.size - 1)] == target)
-    out[exact] = vp[idx[exact]]
-
-    interior = (idx > 0) & (idx < tp.size) & ~exact
-    if np.any(interior):
-        left = idx[interior] - 1
-        right = idx[interior]
-        gap = tp[right] - tp[left]
-        ok = gap <= max_gap
-        sel = np.flatnonzero(interior)[ok]
-        lo, hi = left[ok], right[ok]
-        w = (target[sel] - tp[lo]) / (tp[hi] - tp[lo])
-        out[sel] = vp[lo] * (1.0 - w) + vp[hi] * w
+    lo = np.maximum(idx - 1, 0)
+    hi = np.minimum(idx, tp.size - 1)
+    t_lo, t_hi = tp[lo], tp[hi]
+    gap = t_hi - t_lo
+    inner = (idx > 0) & (idx < tp.size) & (gap <= max_gap)
+    with np.errstate(divide="ignore", invalid="ignore"):  # gap 0 outside the span: dropped
+        w = (target - t_lo) / gap
+        val = vp[lo] * (1.0 - w) + vp[hi] * w
+    out = np.where(t_hi == target, vp[hi], np.where(inner, val, np.nan))
     return TimeSeries(target, _frozen(out))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crossrisk.io
+import crossrisk.kinematics
 import crossrisk.timeseries
 from crossrisk import (
     CameraSensorModel,
@@ -458,7 +460,7 @@ def test_row_missing_only_extra_fields_is_rejected(tmp_path):
 
 
 def test_pipeline_series_share_their_fresh_arrays(tmp_path, monkeypatch):
-    """No TimeSeries from reading, smoothing, resampling, scoring or fusion copies its arrays."""
+    """No series or track from reading, smoothing, resampling, scoring or fusion copies arrays."""
     path = tmp_path / "sensors.csv"
     write_sensor_csv(path, simulate_recording(ScenarioConfig(2.0, 2.0)))
     copied = []
@@ -471,6 +473,7 @@ def test_pipeline_series_share_their_fresh_arrays(tmp_path, monkeypatch):
 
     readonly.original = crossrisk.timeseries._readonly
     monkeypatch.setattr(crossrisk.timeseries, "_readonly", readonly)
+    monkeypatch.setattr(crossrisk.kinematics, "_readonly", readonly)
     streams = read_sensor_csv(path)
     assert len({id(s.times) for s in streams.values()}) == 1  # one timestamp array
     trace = fuse_all(sensor_set_from_streams(streams))
@@ -493,6 +496,25 @@ def test_negative_distance_is_a_recording_fault(tmp_path):
         read_sensor_csv(path)
     path.write_text(header + "-1.0,1.0,-0.000000,,1.0\n")  # a negative time is no distance
     assert read_sensor_csv(path)[CAMERA_AW].values.tolist() == [0.0]
+
+
+def test_a_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    """Spreadsheet exports start with a UTF-8 BOM; it changes no stream, plot or line number."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_sensor_csv(plain, simulate_recording(ScenarioConfig(2.0, 2.0)))
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    assert read_outcome(read_sensor_csv, marked) == read_outcome(read_sensor_csv, plain)
+    plots = [tmp_path / "plain-plot.csv", tmp_path / "marked-plot.csv"]
+    for source, plot in zip([plain, marked], plots):
+        plot_csv(source, plot)
+    assert plots[1].read_bytes() == plots[0].read_bytes()
+    header = "timestamp,distance_range,distance_wheelchair,distance_drone\n"
+    marked.write_text("\ufeff" + header + "0.0,1.0,,\n0.0,1.0,,\n0.1,1.0\n", encoding="utf-8")
+    with pytest.raises(SensorCsvError, match="^line 4: 2 fields, the header has 4$"):
+        read_sensor_csv(marked)
+    marked.write_text("\ufeff" + header + "0.0,1.0,,\n0.0,1.0,,\n", encoding="utf-8")
+    with pytest.raises(SensorCsvError, match="^row 3: timestamps must be strictly increasing$"):
+        read_sensor_csv(marked)
 
 
 def oracle_plot_of(path, threshold):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crossrisk import EmptyOverlapError, TimeSeries, UniformGrid, align, resample, smooth_trailing
 
@@ -137,7 +139,59 @@ class TestSmoothTrailing:
             assert out.values[i] == pytest.approx(expected, abs=1e-12)
 
 
+def retired_resample(series, grid, max_gap):
+    """The values of the resample that indexed exact hits and interior gaps apart: the oracle."""
+    target = grid.times()
+    out = np.full(grid.count, np.nan)
+    tp = series.times[series.present]
+    vp = series.values[series.present]
+    if tp.size == 0:
+        return out
+    idx = np.searchsorted(tp, target, side="left")
+    exact = (idx < tp.size) & (tp[np.minimum(idx, tp.size - 1)] == target)
+    out[exact] = vp[idx[exact]]
+    interior = (idx > 0) & (idx < tp.size) & ~exact
+    if np.any(interior):
+        left = idx[interior] - 1
+        right = idx[interior]
+        ok = tp[right] - tp[left] <= max_gap
+        sel = np.flatnonzero(interior)[ok]
+        lo, hi = left[ok], right[ok]
+        w = (target[sel] - tp[lo]) / (tp[hi] - tp[lo])
+        out[sel] = vp[lo] * (1.0 - w) + vp[hi] * w
+    return out
+
+
+@st.composite
+def series_and_grids(draw):
+    """A series on ticks of ``step`` with NaN runs, a grid at a multiple of its rate, a gap."""
+    step = draw(st.sampled_from([0.25, 0.1, 0.01]))
+    ticks = sorted(draw(st.lists(st.integers(0, 40), min_size=1, max_size=20, unique=True)))
+    values = []
+    while len(values) < len(ticks):
+        run = range(draw(st.integers(1, 4)))
+        missing = draw(st.booleans())
+        values += [np.nan if missing else draw(st.floats(-1e3, 1e3)) for _ in run]
+    series = TimeSeries(np.array(ticks) * step, values[: len(ticks)])
+    scale = draw(st.sampled_from([1, 2, 3]))
+    start = draw(st.integers(-10, 45)) * step
+    grid = UniformGrid(start=start, rate_hz=scale / step, count=draw(st.integers(1, 150)))
+    max_gap = draw(st.sampled_from([1, 2, 3, 5])) * step
+    return series, grid, max_gap
+
+
 class TestResample:
+    @settings(deadline=None, max_examples=300)
+    @given(case=series_and_grids())
+    def test_matches_the_retired_resample_bit_for_bit(self, case):
+        """Gaps equal to ``max_gap``, exact grid hits, NaN runs, single samples, wide grids."""
+        series, grid, max_gap = case
+        t0, t1 = series.span
+        assume(grid.start <= t1 and grid.end >= t0)
+        got = resample(series, grid, max_gap=max_gap).values
+        want = retired_resample(series, grid, max_gap)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
     def test_linear_interpolation(self):
         s = TimeSeries([0.0, 1.0], [0.0, 2.0])
         out = resample(s, UniformGrid(start=0.0, rate_hz=4.0, count=5), max_gap=1.0)
