@@ -12,9 +12,10 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import stat
-from itertools import accumulate, compress, islice
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, Mapping, NoReturn, Sequence
 
@@ -218,52 +219,14 @@ def _parse_column(cells: Sequence[str]) -> np.ndarray:
     return np.fromiter(map(float, filled), float, len(cells))
 
 
-def _column_faults(name: str, cells: list[str]) -> list[tuple[int, str]]:
-    """A recording column's faults as ``(row index, message)`` pairs.
-
-    A fault is a cell that is not a number (the floats end before it), a
-    non-finite value, in a distance column a negative distance, and in the
-    timestamp column an empty cell or a timestamp not above the one before.
-    Cells are looked at one by one only to locate a fault.
-    """
-    faults = []
-    try:
-        values = _parse_column(cells)
-    except ValueError:
-        for end, cell in enumerate(cells):
-            try:
-                float(cell or "nan")
-            except ValueError:
-                break
-        faults.append((end, f"column {name!r}: not a number: {cell!r}"))
-        cells = cells[:end]
-        values = _parse_column(cells)
-    is_time = name == "timestamp"
-    nonfinite = np.flatnonzero(~np.isfinite(values))
-    if nonfinite.size > (0 if is_time else cells.count("")):  # an empty cell is NaN
-        i = next(i for i in nonfinite.tolist() if is_time or cells[i])
-        message = f"column {name!r}: non-finite value {cells[i]!r}"
-        faults.append((i, message if cells[i] else "timestamp must not be empty"))
-    if is_time:
-        rising = values[1:] > values[:-1]
-        if not rising.all():
-            faults.append((int(rising.argmin()) + 1, "timestamps must be strictly increasing"))
-    else:
-        negative = np.flatnonzero(values < 0)  # -0.0 is not; -inf is reported as non-finite
-        if negative.size:
-            i = int(negative[0])
-            faults.append((i, f"column {name!r}: negative distance {cells[i]!r}"))
-    return faults
-
-
 def read_sensor_csv(path: str | Path) -> dict[str, TimeSeries]:
     """Read a sensor recording into per-sensor distance streams.
 
     The header must start with ``timestamp,distance_range,
     distance_wheelchair,distance_drone``; the ``distance_tracker`` column
     is optional (recordings without ground truth can still be fused) and
-    any further columns are ignored.  Rows follow :func:`read_csv_columns`;
-    an error names the row (the CSV record, the header being row 1).
+    any further columns are ignored.  Rows follow :func:`_blocks`; an
+    error names the row (the CSV record, the header being row 1).
     Blocks of rows become floats as they arrive; each check then runs
     once over whole columns, and only a failed one re-reads the file.
     """
@@ -273,13 +236,13 @@ def read_sensor_csv(path: str | Path) -> dict[str, TimeSeries]:
     parts: list[list[np.ndarray]] = [[] for _ in names]
     empty = [0] * len(names)
     if names[:4] == _REQUIRED_HEADER:
-        for block, _ in blocks:
-            try:
+        try:
+            for block in blocks:
                 for k, cells in enumerate(block[: len(names)]):
                     parts[k].append(_parse_column(cells))
                     empty[k] += cells.count("")
-            except ValueError:  # a cell that is not a number
-                break
+        except ValueError:  # a bad cell, a short row or a read error
+            pass
         else:
             times, *distances = (np.concatenate(part or [np.empty(0)]) for part in parts)
             rising = times.size and np.isfinite(times).all() and (times[1:] > times[:-1]).all()
@@ -291,23 +254,7 @@ def read_sensor_csv(path: str | Path) -> dict[str, TimeSeries]:
                 sensors = [s for _, s in SENSOR_COLUMNS]
                 return {s: TimeSeries(times, _frozen(d)) for s, d in zip(sensors, distances)}
     blocks.close()
-    _raise_recording_fault(path, names)
-
-
-def _raise_recording_fault(path: str | Path, names: list[str]) -> NoReturn:
-    """Re-read the recording at ``path``, whose header reads ``names``; raise its first fault."""
-    header, columns, blanks = _read_columns(path)
-    if names[:4] != _REQUIRED_HEADER:
-        raise SensorCsvError(
-            f"header must start with {','.join(_REQUIRED_HEADER)!r}, got {','.join(header)!r}"
-        )
-    if not columns[0]:
-        raise SensorCsvError("file contains no data rows")
-    faults = [f for name, cells in zip(names, columns) for f in _column_faults(name, cells)]
-    if faults:  # the first in the file; within a row, the leftmost column's
-        i, message = min(faults, key=lambda fault: fault[0])
-        raise SensorCsvError(f"row {i + 2 + sum(b <= i for b in blanks)}: {message}")
-    raise SensorCsvError("the file changed while it was read")
+    _raise_first_fault(path, names)
 
 
 def write_sensor_csv(path: str | Path, streams: Mapping[str, TimeSeries]) -> None:
@@ -382,76 +329,101 @@ def write_fused_csv(
 
 
 def read_csv_columns(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Read any CSV as a header plus string columns, the dialect of :func:`_blocks`."""
-    return _read_columns(path)[:2]
-
-
-def _read_columns(path: str | Path) -> tuple[list[str], list[list[str]], list[int]]:
-    """:func:`read_csv_columns`, plus for each blank row the number of rows kept before it."""
+    """Header and string columns of any CSV; kept for ``perfbench/bench_replay.py``."""
     blocks = _blocks(path)
     header = next(blocks)
     columns: list[list[str]] = [[] for _ in header]
-    blanks: list[int] = []
-    for block, block_blanks in blocks:
+    for block in blocks:
         for column, cells in zip(columns, block):
             column += cells
-        blanks += block_blanks
-    return header, columns, blanks
+    return header, columns
 
 
 def _blocks(path: str | Path):
-    """The one CSV tokenizer: the header, then ``(columns, blanks)`` per ``_READ_ROWS`` records.
+    """The one CSV tokenizer: the header, then the columns of each ``_READ_ROWS`` records.
 
     This is the one CSV dialect of the package: a row with no fields, or
-    with only empty fields, is blank and skipped (``blanks`` gives, for
-    each, the number of rows kept before it in the file); a non-blank row
-    shorter than the header is a :class:`SensorCsvError` naming its line;
-    fields beyond the header are ignored.
+    with only empty fields, is blank and skipped; a non-blank row shorter
+    than the header is a :class:`SensorCsvError` naming its line; fields
+    beyond the header are ignored.
     """
-    width = 0
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None:
                 raise SensorCsvError("empty file")
-            width = len(header)
             yield header
-            kept = 0
+            width = len(header)
             while rows := list(islice(reader, _READ_ROWS)):
                 nonblank = list(map(any, rows))
-                blanks = []
                 if not all(nonblank):
-                    before = accumulate(nonblank, initial=kept)
-                    blanks = [n for n, keep in zip(before, nonblank) if not keep]
                     rows = list(compress(rows, nonblank))
                 if rows and min(map(len, rows)) < width:
-                    _raise_first_fault(path, width)
-                kept += len(rows)
-                yield (list(zip(*rows))[:width] if rows else [()] * width), blanks
+                    _raise_first_fault(path)
+                yield list(zip(*rows))[:width] if rows else [()] * width
         except (csv.Error, UnicodeDecodeError):  # a short row read before it is reported first
-            _raise_first_fault(path, width)
+            _raise_first_fault(path)
 
 
-def _raise_first_fault(path: str | Path, width: int) -> NoReturn:
-    """Re-read ``path`` one record at a time and raise its first short row or read error."""
+def _raise_first_fault(path: str | Path, names: list[str] | None = None) -> NoReturn:
+    """Re-read ``path`` one record at a time and raise its first fault, in file order.
+
+    In any CSV a fault is a read error or a non-blank row shorter than the
+    header, each naming its line.  In a recording, whose header reads
+    ``names``, the header comes first, and a row's cells are checked left
+    to right (:func:`_cell_fault`), a fault naming the row.
+    """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            for row in reader:
-                if any(row) and len(row) < width:
+            header = next(reader, [])
+            if names is not None and names[:4] != _REQUIRED_HEADER:
+                required, got = ",".join(_REQUIRED_HEADER), ",".join(header)
+                raise SensorCsvError(f"header must start with {required!r}, got {got!r}")
+            before = -math.inf  # the timestamp of the last data row; -inf before the first
+            for row_no, row in enumerate(reader, 2):
+                if not any(row):
+                    continue
+                if len(row) < len(header):
                     raise SensorCsvError(
-                        f"line {reader.line_num}: {len(row)} fields, the header has {width}"
+                        f"line {reader.line_num}: {len(row)} fields, the header has {len(header)}"
                     )
+                if names is not None:
+                    for name, cell in zip(names, row):
+                        if fault := _cell_fault(name, cell, before):
+                            raise SensorCsvError(f"row {row_no}: {fault}")
+                    before = float(row[0])
         except csv.Error as exc:
             raise SensorCsvError(f"line {reader.line_num}: {exc}") from None
+    if names is not None and before == -math.inf:
+        raise SensorCsvError("file contains no data rows")
     raise SensorCsvError("the file changed while it was read")
+
+
+def _cell_fault(name: str, cell: str, before: float) -> str | None:
+    """The fault of a recording's cell in column ``name``, or None.
+
+    A cell that is not a number, a non-finite value, a negative distance,
+    or an empty timestamp or one not above ``before``, the row before's.
+    """
+    try:
+        value = float(cell or "nan")
+    except ValueError:
+        return f"column {name!r}: not a number: {cell!r}"
+    if cell and not math.isfinite(value):
+        return f"column {name!r}: non-finite value {cell!r}"
+    if name != "timestamp":  # -0.0 is no negative distance
+        return f"column {name!r}: negative distance {cell!r}" if value < 0 else None
+    if not cell:
+        return "timestamp must not be empty"
+    return None if value > before else "timestamps must be strictly increasing"
 
 
 def plot_csv(source: str | Path, output: str | Path, threshold: float | None = None) -> None:
     """Melt the CSV trace at ``source`` into plot rows at ``output``, which may be ``source``."""
     blocks = _blocks(source)
-    _melt(output, next(blocks), (columns for columns, _ in blocks), threshold)
+    _melt(output, next(blocks), blocks, threshold)
 
 
 def write_plot_csv(
@@ -460,7 +432,7 @@ def write_plot_csv(
     columns: Sequence[Sequence[str]],
     threshold: float | None = None,
 ) -> None:
-    """:func:`plot_csv` of a trace already read into ``header`` and equal-length ``columns``."""
+    """:func:`plot_csv` of equal-length ``columns``; kept for ``perfbench/bench_replay.py``."""
     rows = max(map(len, columns), default=0)
     blocks = ([c[i : i + _BLOCK_ROWS] for c in columns] for i in range(0, rows, _BLOCK_ROWS))
     _melt(path, header[: max(len(columns), 1)], blocks, threshold)  # no cells, no series
@@ -476,7 +448,6 @@ def _melt(path: str | Path, header: Sequence[str], blocks: Iterable, threshold: 
     reference line.  ``path`` is opened only once ``blocks`` is exhausted.
     """
     if not header or header[0] != "timestamp":
-        collections.deque(blocks, maxlen=0)  # a fault in the rows is reported first
         raise SensorCsvError("plot input must have a leading timestamp column")
     infixes = {i: f",{_csv_fields([name])[0]}," for i, name in enumerate(header[1:], 1)}
     melted: dict[int, list[str]] = {i: [] for i in infixes}

@@ -28,6 +28,9 @@ class EmptyOverlapError(ValueError):
 # Holds a day at 100 Hz (8.64e6 points).  `fuse` peaks near 330 bytes per grid
 # point (measured at 6e5 points), so a mistyped rate stops near 3 GiB, not 45.
 MAX_GRID_POINTS = 10_000_000
+# A grid step spans at least this many float64 spacings of its timestamps, so
+# grid instants stay distinct and evenly spaced to within 0.1% of the step.
+MIN_STEP_SPACINGS = 1000
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -249,7 +252,8 @@ def align(
     The grid spans the union of the input time ranges at ``rate_hz``;
     every output series carries identical timestamps, with each channel
     missing outside its own coverage.  A grid of more than
-    ``MAX_GRID_POINTS`` instants is rejected before anything is allocated.
+    ``MAX_GRID_POINTS`` instants is rejected before anything is allocated,
+    as is a step below ``MIN_STEP_SPACINGS`` float64 spacings of its times.
     """
     if not series_list:
         raise ValueError("series_list must not be empty")
@@ -257,6 +261,13 @@ def align(
         raise ValueError(f"resample_hz must be a finite positive number, got {rate_hz!r}")
     start = min(s.span[0] for s in series_list)
     end = max(s.span[1] for s in series_list)
+    magnitude = max(abs(start), abs(end))
+    if 1 / rate_hz < MIN_STEP_SPACINGS * np.spacing(magnitude):
+        raise ValueError(
+            f"resample_hz {rate_hz:g} gives a {1 / rate_hz:g} s step, below {MIN_STEP_SPACINGS} "
+            f"times the float64 spacing ({np.spacing(magnitude):g} s) of timestamps near "
+            f"{magnitude:g} s"
+        )
     count = _grid_count(end - start, rate_hz, f"resample_hz {rate_hz:g} over {end - start:g} s")
     grid = UniformGrid(start=start, rate_hz=rate_hz, count=count)
     return grid, [resample(s, grid, max_gap=max_gap) for s in series_list]

@@ -450,6 +450,28 @@ class TestCliCommands:
         assert re.search(r"resample_hz 1e\+09 over [0-9.]+ s gives \d{10} grid points", err)
         assert str(sensors_csv) in err
 
+    @pytest.mark.parametrize(
+        "start, period, flags, message",
+        [
+            (1e17, 100.0, [], r"resample_hz 100 gives a 0\.01 s step, .* near 1e\+17 s"),
+            (1.729e9, 0.01, ["--resample-hz", "1e7"], r"resample_hz 1e\+07 .* near 1\.729e\+09 s"),
+            (1.729e9, 0.01, ["--resample-hz", "1e6"], r"resample_hz 1e\+06 .* near 1\.729e\+09 s"),
+        ],
+    )
+    def test_grid_step_below_the_timestamp_resolution_is_data_error(
+        self, tmp_path, capsys, start, period, flags, message
+    ):
+        # the file's timestamps increase; the grid's would repeat or be unevenly spaced
+        path = tmp_path / "sensors.csv"
+        rows = [f"{start + k * period:.6f},2.0,2.0,2.0" for k in range(29)]
+        path.write_text(SENSOR_HEADER.replace(",distance_tracker", "") + "\n".join(rows) + "\n")
+        assert main([*flags, "ingest", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(f"^error: {re.escape(str(path))}: {message}$", err, re.M)
+        if start < 1e10:  # epoch timestamps at the default 100 Hz
+            assert main(["ingest", str(path)]) == 0
+            assert "start=1729000000.000000 s, rate=100 Hz" in capsys.readouterr().out
+
     def test_config_file_flag(self, tmp_path, sensors_csv, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"danger": {"threshold": 0.2}}))

@@ -289,7 +289,8 @@ def test_completed_write_replaces_the_target_with_the_mode_of_open(tmp_path):
 def seed_read_sensor_csv(path):
     """The row parser that ``read_sensor_csv`` replaced, kept as its oracle.
 
-    It gained one rule since: a distance below zero is a fault.
+    It gained two rules since: a distance below zero is a fault, and a
+    short row is the dialect's "line N" fault, still in file order.
     """
 
     def parse_float(text, row, column):
@@ -323,8 +324,10 @@ def seed_read_sensor_csv(path):
         for row_no, row in enumerate(reader, start=2):
             if not row or all(cell == "" for cell in row):
                 continue
-            if len(row) < n_cols:
-                raise SensorCsvError(f"row {row_no}: expected at least {n_cols} fields")
+            if len(row) < len(header):
+                raise SensorCsvError(
+                    f"line {reader.line_num}: {len(row)} fields, the header has {len(header)}"
+                )
             t = parse_float(row[0], row_no, "timestamp")
             if math.isnan(t):
                 raise SensorCsvError(f"row {row_no}: timestamp must not be empty")
@@ -351,17 +354,6 @@ def read_outcome(reader, path):
     return {k: (s.times.tobytes(), s.values.tobytes()) for k, s in streams.items()}
 
 
-def first_short_row(path):
-    """The message for the first non-blank row shorter than the header, or None."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        width = len(next(reader))
-        for row in reader:
-            if any(row) and len(row) < width:
-                return f"line {reader.line_num}: {len(row)} fields, the header has {width}"
-    return None
-
-
 ODD_CELLS = st.sampled_from(
     ["", " ", " 1.5 ", "\t2", '"2.5"', '""', '" "', '"3\n"', '"1,5"', '"a\r\nb"', "1_0",
      "nan", "NaN", "-nan", "inf", "-Infinity", "1e400", "oops", "0x10", "--1", "-1",
@@ -373,8 +365,13 @@ CELLS = st.one_of(NUMBER_CELLS, NUMBER_CELLS, st.just(""), ODD_CELLS)
 
 @st.composite
 def recordings(draw):
-    """CSV text of a recording with blank, all-empty, short and long rows and odd cells."""
+    """CSV text of a recording with blank, all-empty, short and long rows and odd cells.
+
+    Some headers misname a required column; some files have no data rows.
+    """
     header = ["timestamp", "distance_range", "distance_wheelchair", "distance_drone"]
+    if draw(st.integers(0, 7)) == 0:
+        header[draw(st.integers(0, 3))] = draw(st.sampled_from(["time", "distance_rsu", ""]))
     if draw(st.booleans()):
         header.append("distance_tracker")
     header += [f"extra{i}" for i in range(draw(st.integers(0, 2)))]
@@ -421,18 +418,15 @@ def blocks_of(rows):
     block_rows=1,
 )
 def test_reader_matches_the_row_parser(text, block_rows):
-    """Same arrays, or the same message with the same row, as the row parser.
+    """Same arrays, or the same message with the same row or line, as the row parser.
 
-    The one permitted difference: a non-blank row shorter than the header
-    is always the reader's "line N" error (see the two example tests below).
     Small row blocks put block edges among the blank, short and bad rows.
     """
     with blocks_of(block_rows), tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sensors.csv"
         path.write_text(text, encoding="utf-8", newline="")
         got = read_outcome(read_sensor_csv, path)
-        short = first_short_row(path)
-        want = short if short is not None else read_outcome(seed_read_sensor_csv, path)
+        want = read_outcome(seed_read_sensor_csv, path)
     assert got == want
 
 
@@ -442,10 +436,9 @@ def test_short_row_error_names_its_line(tmp_path):
         "timestamp,distance_range,distance_wheelchair,distance_drone,distance_tracker\n"
         '0.0,1.0,"2\n",,1.0\n0.1,1.0\n'  # a quoted line break: row 3 ends on line 4
     )
-    with pytest.raises(SensorCsvError, match="row 3: expected at least 5 fields"):
-        seed_read_sensor_csv(path)
-    with pytest.raises(SensorCsvError, match=r"^line 4: 2 fields, the header has 5$"):
-        read_sensor_csv(path)
+    for reader in (seed_read_sensor_csv, read_sensor_csv):
+        with pytest.raises(SensorCsvError, match=r"^line 4: 2 fields, the header has 5$"):
+            reader(path)
 
 
 def test_row_missing_only_extra_fields_is_rejected(tmp_path):
@@ -454,9 +447,9 @@ def test_row_missing_only_extra_fields_is_rejected(tmp_path):
         "timestamp,distance_range,distance_wheelchair,distance_drone,note\n"
         "0.0,1.0,,,start\n0.1,1.0,,\n"
     )
-    assert set(seed_read_sensor_csv(path)) == {RSU, CAMERA_AW, CAMERA_DRONE}
-    with pytest.raises(SensorCsvError, match=r"^line 3: 4 fields, the header has 5$"):
-        read_sensor_csv(path)
+    for reader in (seed_read_sensor_csv, read_sensor_csv):
+        with pytest.raises(SensorCsvError, match=r"^line 3: 4 fields, the header has 5$"):
+            reader(path)
 
 
 def test_pipeline_series_share_their_fresh_arrays(tmp_path, monkeypatch):
@@ -509,7 +502,7 @@ def test_a_byte_order_mark_is_not_part_of_the_header(tmp_path):
         plot_csv(source, plot)
     assert plots[1].read_bytes() == plots[0].read_bytes()
     header = "timestamp,distance_range,distance_wheelchair,distance_drone\n"
-    marked.write_text("\ufeff" + header + "0.0,1.0,,\n0.0,1.0,,\n0.1,1.0\n", encoding="utf-8")
+    marked.write_text("\ufeff" + header + "0.0,1.0,,\n0.1,1.0,,\n0.1,1.0\n", encoding="utf-8")
     with pytest.raises(SensorCsvError, match="^line 4: 2 fields, the header has 4$"):
         read_sensor_csv(marked)
     marked.write_text("\ufeff" + header + "0.0,1.0,,\n0.0,1.0,,\n", encoding="utf-8")
@@ -522,6 +515,8 @@ def oracle_plot_of(path, threshold):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
+        if header[0] != "timestamp":
+            return "plot input must have a leading timestamp column"
         columns = [[] for _ in header]
         for row in reader:
             if not any(row):
@@ -530,8 +525,6 @@ def oracle_plot_of(path, threshold):
                 return f"line {reader.line_num}: {len(row)} fields, the header has {len(header)}"
             for column, cell in zip(columns, row):
                 column.append(cell)
-    if header[0] != "timestamp":
-        return "plot input must have a leading timestamp column"
     return oracle_plot_csv(header, columns, threshold)
 
 
@@ -637,7 +630,7 @@ def test_short_row_after_the_first_block_names_its_line(tmp_path):
     path = tmp_path / "sensors.csv"
     path.write_text(header + "\n".join(rows) + "\n")
     message = f"line {short + 3}: 2 fields, the header has 4"
-    assert first_short_row(path) == message
+    assert read_outcome(seed_read_sensor_csv, path) == message
     with pytest.raises(SensorCsvError, match=f"^{message}$"):
         read_sensor_csv(path)
     assert plot_outcome(path, tmp_path / "plot.csv", 1.0) == message
@@ -655,3 +648,23 @@ def test_blank_rows_around_a_block_edge_keep_row_numbers(tmp_path):
     message = f"row {READ_ROWS + 52}: column 'distance_range': not a number: 'oops'"
     assert read_outcome(seed_read_sensor_csv, path) == message
     assert read_outcome(read_sensor_csv, path) == message
+
+
+
+def test_a_fault_before_a_short_row_in_a_later_block_is_reported_first(tmp_path):
+    """Plain file order: a bad cell or header is not hidden by a later short row."""
+    rows = [f"{i / 100:.6f},2.0,," for i in range(3 * READ_ROWS)]
+    rows[2 * READ_ROWS + 5] = "9.0,2.0"
+    rows[5] = "0.050000,abc,,"  # in the first block
+    path, header = tmp_path / "sensors.csv", "timestamp,distance_range,distance_wheelchair,"
+    for header_end, message in [
+        ("distance_drone", "row 7: column 'distance_range': not a number: 'abc'"),
+        ("drone", f"header must start with {','.join(crossrisk.io._REQUIRED_HEADER)!r}, got "),
+    ]:
+        path.write_text(header + header_end + "\n" + "\n".join(rows) + "\n")
+        for reader in (seed_read_sensor_csv, read_sensor_csv):
+            assert read_outcome(reader, path).startswith(message)
+    path.write_text("time,g_a,g_b,g_c\n" + "\n".join(rows) + "\n")
+    message = "plot input must have a leading timestamp column"
+    assert oracle_plot_of(path, 1.0) == message
+    assert plot_outcome(path, tmp_path / "plot.csv", 1.0) == message
