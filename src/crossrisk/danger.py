@@ -43,7 +43,11 @@ def _as_decisions(codes: np.ndarray) -> tuple[Decision, ...]:
 
 
 def _as_codes(decisions) -> np.ndarray:
-    """Inverse of :func:`_as_decisions` for a sequence of :class:`Decision`."""
+    """Inverse of :func:`_as_decisions` for a sequence of :class:`Decision`.
+
+    Kept for :func:`~crossrisk.metrics.evaluate_source` and so for the
+    benchmark's independent check of ``evaluate --json`` (ROADMAP open item 2).
+    """
     labels = np.fromiter(decisions, dtype=object, count=len(decisions))
     return np.where(labels == Decision.UNKNOWN, _UNKNOWN, labels == Decision.DANGEROUS)
 

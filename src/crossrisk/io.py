@@ -10,7 +10,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -420,7 +419,7 @@ def _cell_fault(name: str, cell: str, before: float) -> str | None:
     return None if value > before else "timestamps must be strictly increasing"
 
 
-def plot_csv(source: str | Path, output: str | Path, threshold: float | None = None) -> None:
+def plot_csv(source: str | Path, output: str | Path, threshold: float) -> None:
     """Melt the CSV trace at ``source`` into plot rows at ``output``, which may be ``source``."""
     blocks = _blocks(source)
     _melt(output, next(blocks), blocks, threshold)
@@ -430,7 +429,7 @@ def write_plot_csv(
     path: str | Path,
     header: Sequence[str],
     columns: Sequence[Sequence[str]],
-    threshold: float | None = None,
+    threshold: float,
 ) -> None:
     """:func:`plot_csv` of equal-length ``columns``; kept for ``perfbench/bench_replay.py``."""
     rows = max(map(len, columns), default=0)
@@ -438,20 +437,20 @@ def write_plot_csv(
     _melt(path, header[: max(len(columns), 1)], blocks, threshold)  # no cells, no series
 
 
-def _melt(path: str | Path, header: Sequence[str], blocks: Iterable, threshold: float | None):
+def _melt(path: str | Path, header: Sequence[str], blocks: Iterable, threshold: float):
     """Melt a wide trace, a block of columns at a time, into ``timestamp,series,value`` rows.
 
     Only numeric columns are emitted (decision labels are not plottable
     values): a column is dropped at its first cell that is neither empty
-    nor a ``float()``.  When ``threshold`` is given and the input carries
-    danger scores, a constant ``g_star`` series is appended as the
-    reference line.  ``path`` is opened only once ``blocks`` is exhausted.
+    nor a ``float()``.  When the input carries danger scores, a constant
+    ``g_star`` series at ``threshold`` is appended as the reference line.
+    ``path`` is opened only once ``blocks`` is exhausted.
     """
     if not header or header[0] != "timestamp":
         raise SensorCsvError("plot input must have a leading timestamp column")
     infixes = {i: f",{_csv_fields([name])[0]}," for i, name in enumerate(header[1:], 1)}
     melted: dict[int, list[str]] = {i: [] for i in infixes}
-    suffix = None if threshold is None else f",g_star,{threshold:.6f}\n"
+    suffix = f",g_star,{threshold:.6f}\n"
     g_star = []
     for columns in blocks:
         ts = _csv_fields(columns[0])
@@ -467,7 +466,7 @@ def _melt(path: str | Path, header: Sequence[str], blocks: Iterable, threshold: 
             rows[::4] = compress(ts, cells)
             rows[2::4] = values
             melted[i].append("".join(rows))
-        if ts and suffix:
+        if ts:
             g_star.append(suffix.join(ts) + suffix)
     with _replacing(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("timestamp,series,value\n")
@@ -477,40 +476,24 @@ def _melt(path: str | Path, header: Sequence[str], blocks: Iterable, threshold: 
 
 
 def _csv_fields(cells: Sequence[str]) -> Sequence[str]:
-    """``cells`` as :mod:`csv` writes them, quoting any that holds a special character."""
+    """``cells`` as CSV fields: one holding ``,``, ``"``, CR or LF is quoted, its ``"`` doubled."""
     joined = "".join(cells)
     if not any(ch in joined for ch in ',"\r\n'):
         return cells
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    quoted = []
-    for cell in cells:
-        if any(ch in cell for ch in ',"\r\n'):
-            writer.writerow([cell])
-            cell = buffer.getvalue()[:-1]
-            buffer.seek(0)
-            buffer.truncate()
-        quoted.append(cell)
-    return quoted
+    return [
+        '"' + cell.replace('"', '""') + '"' if any(ch in cell for ch in ',"\r\n') else cell
+        for cell in cells
+    ]
 
 
 def report_to_dict(source: str, report: EvaluationReport | None) -> dict:
-    """JSON-ready representation of one evaluation row."""
+    """JSON-ready representation of one evaluation row: the report's fields, floats rounded."""
     if report is None:
         return {"source": source, "error": "insufficient data"}
-    return {
-        "source": source,
-        "rmse": None if report.rmse is None else round(report.rmse, 6),
-        "accuracy": round(report.accuracy, 6),
-        "precision": round(report.precision, 6),
-        "recall": round(report.recall, 6),
-        "tp": report.tp,
-        "fp": report.fp,
-        "tn": report.tn,
-        "fn": report.fn,
-        "evaluated_points": report.evaluated_points,
-        "excluded_points": report.excluded_points,
-    }
+    row = {"source": source}
+    for name, value in vars(report).items():  # dataclasses.asdict is several times slower
+        row[name] = round(value, 6) if isinstance(value, float) else value
+    return row
 
 
 def report_rows(reports: Mapping[str, EvaluationReport | None]) -> list[dict]:

@@ -46,9 +46,9 @@ class EvaluationReport:
     """Error and classification metrics of one prediction stream.
 
     ``rmse`` is None for binary-only sources (voting), which produce no
-    continuous score.  ``precision_defaulted`` / ``recall_defaulted``
-    flag the degenerate denominators reported as 1.0 (no dangerous
-    predictions made, resp. no dangerous truth present).
+    continuous score, and for a source whose scores share no present
+    instant with the truth's.  A precision or recall with a zero
+    denominator (no dangerous prediction, resp. no dangerous truth) is 1.0.
     """
 
     rmse: float | None
@@ -61,8 +61,6 @@ class EvaluationReport:
     fn: int
     evaluated_points: int
     excluded_points: int
-    precision_defaulted: bool = False
-    recall_defaulted: bool = False
 
 
 def rmse(predicted: TimeSeries, truth: TimeSeries) -> float:
@@ -97,21 +95,23 @@ def _report(
     excluded = len(truth) - evaluated
     if evaluated == 0:
         raise InsufficientDataError("no jointly classified points")
-    precision_defaulted = (tp + fp) == 0
-    recall_defaulted = (tp + fn) == 0
+    error = None
+    if predicted_g is not None:
+        try:
+            error = rmse(predicted_g, truth_g)
+        except InsufficientDataError:  # no shared score; classified by unknown_as_safe
+            pass
     return EvaluationReport(
-        rmse=None if predicted_g is None else rmse(predicted_g, truth_g),
+        rmse=error,
         accuracy=(tp + tn) / evaluated,
-        precision=1.0 if precision_defaulted else tp / (tp + fp),
-        recall=1.0 if recall_defaulted else tp / (tp + fn),
+        precision=tp / (tp + fp) if tp + fp else 1.0,
+        recall=tp / (tp + fn) if tp + fn else 1.0,
         tp=tp,
         fp=fp,
         tn=tn,
         fn=fn,
         evaluated_points=evaluated,
         excluded_points=excluded,
-        precision_defaulted=precision_defaulted,
-        recall_defaulted=recall_defaulted,
     )
 
 
@@ -125,6 +125,8 @@ def evaluate_source(
     """Full report for one prediction source; ``predicted_g=None`` skips RMSE.
 
     With ``unknown_as_safe`` an UNKNOWN prediction counts as a SAFE call.
+    Kept for ``perfbench/bench_harness.py``, whose independent check of
+    ``evaluate --json`` builds its reports here (ROADMAP open item 2).
     """
     predicted, truth = _as_codes(predicted_decisions), _as_codes(truth_decisions)
     return _report(predicted, truth, unknown_as_safe, predicted_g, truth_g)

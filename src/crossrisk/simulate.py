@@ -133,20 +133,9 @@ class ScenarioConfig:
         object.__setattr__(self, "segments", segments)
 
 
-@dataclass(frozen=True)
-class _Phase:
-    """Maximal interval on which the obstacle state has one closed form."""
-
-    t_start: float
-    t_end: float
-    distance0: float
-    speed0: float
-    accel: float
-
-
-def _build_phases(config: ScenarioConfig) -> list[_Phase]:
-    """Split the motion into phases, inserting stops where speed hits zero."""
-    phases: list[_Phase] = []
+def _build_phases(config: ScenarioConfig) -> list[tuple[float, float, float, float]]:
+    """The motion as closed-form ``(start, distance, speed, accel)`` phases, stops inserted."""
+    phases = []
     t = 0.0
     d = config.initial_distance
     v = config.initial_speed
@@ -155,23 +144,26 @@ def _build_phases(config: ScenarioConfig) -> list[_Phase]:
         while t < t_end - 1e-12:
             if v <= 0.0 and accel <= 0.0:
                 # stopped and not restarting within this segment
-                phases.append(_Phase(t, t_end, d, 0.0, 0.0))
+                phases.append((t, d, 0.0, 0.0))
                 v = 0.0
                 t = t_end
             elif accel < 0.0 and v + accel * (t_end - t) < 0.0:
                 stop = v / -accel
-                phases.append(_Phase(t, t + stop, d, v, accel))
+                phases.append((t, d, v, accel))
                 d -= v * stop + 0.5 * accel * stop * stop
                 v = 0.0
                 t += stop
             else:
                 span = t_end - t
-                phases.append(_Phase(t, t_end, d, max(v, 0.0), accel))
+                phases.append((t, d, max(v, 0.0), accel))
                 d -= max(v, 0.0) * span + 0.5 * accel * span * span
                 v = max(v, 0.0) + accel * span
                 t = t_end
         if t_end >= config.duration:
             break
+    if not phases:  # every segment is shorter than the loop's tolerance: the state at t = 0
+        accel = config.segments[0][1]
+        phases.append((0.0, d, v, accel if v > 0.0 or accel > 0.0 else 0.0))
     return phases
 
 
@@ -179,12 +171,9 @@ def _truth_state(
     config: ScenarioConfig, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form distance, closing speed and acceleration at ``times``."""
-    phases = _build_phases(config)
-    starts = np.array([p.t_start for p in phases])
-    idx = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, len(phases) - 1)
-    d0 = np.array([p.distance0 for p in phases])[idx]
-    v0 = np.array([p.speed0 for p in phases])[idx]
-    a = np.array([p.accel for p in phases])[idx]
+    starts, d0, v0, a = np.array(_build_phases(config)).T
+    idx = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, starts.size - 1)
+    d0, v0, a = d0[idx], v0[idx], a[idx]
     tau = times - starts[idx]
     distance = d0 - (v0 * tau + 0.5 * a * tau * tau)
     speed = v0 + a * tau
@@ -286,7 +275,6 @@ class SimulatedRun:
     ``truth_decisions`` the decision stream derived from it.
     """
 
-    config: ScenarioConfig
     raw_streams: dict[str, TimeSeries]
     sensors: SensorSet
     truth_track: KinematicTrack
@@ -337,7 +325,6 @@ def generate_run(
     truth_track = KinematicTrack(sensors.grid, np.maximum(td, 0.0), tv, ta)
     truth_g = danger_series(truth_track, cfg.danger)
     return SimulatedRun(
-        config=config,
         raw_streams=raw,
         sensors=sensors,
         truth_track=truth_track,

@@ -125,13 +125,15 @@ def _is_positive_rate(rate_hz) -> bool:
     return _is_finite_real(rate_hz) and rate_hz > 0
 
 
-def _grid_count(span: float, rate_hz: float, what: str) -> int:
+def _grid_count(span: float, rate_hz: float, what: str, magnitude: float = 0.0) -> int:
     """Instants of a grid at ``rate_hz`` over ``span`` seconds, both ends included.
 
+    ``span`` may be short of a whole step by the rounding of timestamps
+    near ``magnitude``; a few of their float64 spacings are forgiven.
     More than ``MAX_GRID_POINTS`` is a ValueError, raised before anything
     is allocated, whose message begins with ``what`` (the field and span).
     """
-    count = np.floor(span * rate_hz + 1e-9) + 1
+    count = np.floor(span * rate_hz + max(1e-9, 4 * np.spacing(magnitude) * rate_hz)) + 1
     if count > MAX_GRID_POINTS:
         raise ValueError(
             f"{what} gives {count:.0f} grid points, more than the limit of {MAX_GRID_POINTS}"
@@ -268,6 +270,7 @@ def align(
             f"times the float64 spacing ({np.spacing(magnitude):g} s) of timestamps near "
             f"{magnitude:g} s"
         )
-    count = _grid_count(end - start, rate_hz, f"resample_hz {rate_hz:g} over {end - start:g} s")
+    what = f"resample_hz {rate_hz:g} over {end - start:g} s"
+    count = _grid_count(end - start, rate_hz, what, magnitude)
     grid = UniformGrid(start=start, rate_hz=rate_hz, count=count)
     return grid, [resample(s, grid, max_gap=max_gap) for s in series_list]

@@ -472,6 +472,22 @@ class TestCliCommands:
             assert main(["ingest", str(path)]) == 0
             assert "start=1729000000.000000 s, rate=100 Hz" in capsys.readouterr().out
 
+    def test_epoch_recording_keeps_its_last_grid_instant(self, tmp_path, capsys):
+        # near 1.7e9 s the span of the timestamps falls short of 28 steps by their rounding
+        header = SENSOR_HEADER.replace(",distance_tracker", "")
+        outputs = []
+        for start in (0.0, 1.729e9):
+            path, fused = tmp_path / f"{start:.0f}.csv", tmp_path / f"fused-{start:.0f}.csv"
+            rows = [f"{start + k * 0.01:.6f},{4 - k / 10},{3 - k / 20},2" for k in range(29)]
+            path.write_text(header + "\n".join(rows) + "\n")
+            assert main(["ingest", str(path)]) == 0
+            grid, *present = capsys.readouterr().out.splitlines()
+            assert main(["fuse", str(path), str(fused)]) == 0
+            values = [line.split(",", 1)[1] for line in fused.read_text().splitlines()]
+            outputs.append((grid.split("points=")[1], present, values))
+        assert outputs[0][0] == "29"
+        assert outputs[1] == outputs[0]
+
     def test_config_file_flag(self, tmp_path, sensors_csv, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"danger": {"threshold": 0.2}}))
@@ -718,6 +734,40 @@ class TestCliCommands:
         rows = json.loads(capsys.readouterr().out)
         assert rows[1] == {"source": "camera_aw", "error": "insufficient data"}
         assert rows == [report_to_dict(s, reports[s]) for s in EVALUATION_SOURCES]
+
+    @pytest.mark.parametrize("unknown_as_safe", [False, True])
+    def test_unknown_as_safe_reports_a_sensor_with_no_scores(
+        self, tmp_path, capsys, unknown_as_safe
+    ):
+        # the AW camera never detects; counted as Safe calls, its instants are classified
+        scenario = tmp_path / "blind.json"
+        sensors = {"camera_aw": {"detection_range": 0.1}}
+        scenario.write_text(json.dumps({**SCENARIO, "seed": 3, "sensors": sensors}))
+        recording, config = tmp_path / "blind.csv", tmp_path / "config.json"
+        config.write_text(json.dumps({"unknown_as_safe": unknown_as_safe}))
+        assert main(["simulate", str(scenario), str(recording)]) == 0
+        assert main(["--config", str(config), "evaluate", "--json", str(recording)]) == 0
+        row = json.loads(capsys.readouterr().out)[1]
+        if not unknown_as_safe:
+            assert row == {"source": "camera_aw", "error": "insufficient data"}
+            return
+        assert row["rmse"] is None and row["recall"] == 0.0
+        assert (row["tp"], row["fp"], row["tn"], row["fn"]) == (0, 0, 365, 234)
+        assert main(["--config", str(config), "evaluate", str(recording)]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert next(line for line in table if line.startswith("AW camera")).split()[2:] == [
+            "-", "0.61", "0.00", "1.00"
+        ]
+
+    def test_scenario_of_sub_picosecond_segments_simulates_one_row(self, tmp_path, capsys):
+        scenario, recording = tmp_path / "tiny.json", tmp_path / "tiny.csv"
+        scenario.write_text(
+            json.dumps({"duration": 1e-10, "initial_distance": 4.0, "segments": [[1e-13, 0.0]]})
+        )
+        assert main(["simulate", str(scenario), str(recording)]) == 0
+        rows = recording.read_text().splitlines()
+        assert rows[0] == SENSOR_HEADER.strip() and len(rows) == 2
+        assert rows[1].startswith("0.000000,") and rows[1].endswith(",4.000000")
 
 
 @settings(deadline=None, max_examples=15)

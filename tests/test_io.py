@@ -94,10 +94,23 @@ def oracle_sensor_csv(streams) -> str:
 
 
 def oracle_plot_csv(header, columns, threshold) -> str:
-    """The melted plot rows written through ``csv.writer`` one row at a time."""
+    """The melted plot rows written through ``csv.writer`` one row at a time.
+
+    The writer quotes the characters of its line terminator, so it writes
+    each row ending in CR LF, which also quotes a cell holding a bare CR,
+    and the row then ends in LF alone.
+    """
+    lines = []
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["timestamp", "series", "value"])
+    writer = csv.writer(buffer, lineterminator="\r\n")
+
+    def write(row):
+        writer.writerow(row)
+        lines.append(buffer.getvalue()[:-2] + "\n")
+        buffer.seek(0)
+        buffer.truncate()
+
+    write(["timestamp", "series", "value"])
     numeric = []
     for name, column in zip(header[1:], columns[1:]):
         try:
@@ -107,11 +120,11 @@ def oracle_plot_csv(header, columns, threshold) -> str:
         numeric.append(name)
         for t, cell in zip(columns[0], column):
             if cell != "":
-                writer.writerow([t, name, cell])
-    if threshold is not None and any(n.startswith(("g_", "danger")) for n in numeric):
+                write([t, name, cell])
+    if any(n.startswith(("g_", "danger")) for n in numeric):
         for t in columns[0]:
-            writer.writerow([t, "g_star", f"{threshold:.6f}"])
-    return buffer.getvalue()
+            write([t, "g_star", f"{threshold:.6f}"])
+    return "".join(lines)
 
 
 def formatted(values) -> list[str]:
@@ -204,7 +217,18 @@ def test_plot_rows_quote_special_characters(tmp_path):
     with open(path, newline="", encoding="utf-8") as fh:
         text = fh.read()
     assert text == oracle_plot_csv(header, columns, 0.5)
-    assert '"g_a,b"' in text and '"g_""q"""' in text and '"1,5"' in text
+    assert '"g_a,b"' in text and '"g_""q"""' in text and '"1,5"' in text and '"3\r"' in text
+    # the plot reads back cell for cell, a bare CR included
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    melted = [
+        [t, name, cell]
+        for name, column in zip(header[1:5], columns[1:5])
+        for t, cell in zip(columns[0], column)
+        if cell
+    ]
+    g_star = [[t, "g_star", "0.500000"] for t in columns[0]]
+    assert rows == [["timestamp", "series", "value"], *melted, *g_star]
 
 
 RATES = st.floats(0.5, 3000.0)
@@ -499,7 +523,7 @@ def test_a_byte_order_mark_is_not_part_of_the_header(tmp_path):
     assert read_outcome(read_sensor_csv, marked) == read_outcome(read_sensor_csv, plain)
     plots = [tmp_path / "plain-plot.csv", tmp_path / "marked-plot.csv"]
     for source, plot in zip([plain, marked], plots):
-        plot_csv(source, plot)
+        plot_csv(source, plot, 1.0)
     assert plots[1].read_bytes() == plots[0].read_bytes()
     header = "timestamp,distance_range,distance_wheelchair,distance_drone\n"
     marked.write_text("\ufeff" + header + "0.0,1.0,,\n0.1,1.0,,\n0.1,1.0\n", encoding="utf-8")
@@ -537,8 +561,12 @@ def plot_outcome(path, out, threshold):
     return out.read_bytes().decode("utf-8")
 
 
-PLOT_NAMES = st.sampled_from(["g_a", "danger_b", "plain", "a,b", 'q"uote', "line\r\nbreak"])
-PLOT_NUMBERS = st.one_of(NUMBER_CELLS, st.just(""), st.sampled_from([" 2.5\r\n", "1_0", "-inf"]))
+PLOT_NAMES = st.sampled_from(
+    ["g_a", "danger_b", "plain", "a,b", 'q"uote', "line\r\nbreak", "g_bare\rcr"]
+)
+PLOT_NUMBERS = st.one_of(
+    NUMBER_CELLS, st.just(""), st.sampled_from([" 2.5\r\n", "1.5\r", "1_0", "-inf"])
+)
 PLOT_CELLS = st.one_of(PLOT_NUMBERS, st.sampled_from(["Safe", '3"', "1,5", "a\r\nb"]))
 
 
@@ -576,9 +604,10 @@ def wide_traces(draw):
 
 
 @settings(deadline=None, max_examples=300)
-@given(text=wide_traces(), block_rows=BLOCK_ROWS, threshold=st.sampled_from([None, 0.5]))
+@given(text=wide_traces(), block_rows=BLOCK_ROWS, threshold=st.sampled_from([0.5, 1.25]))
 @example(text="timestamp,g_a\n0,1\n1,x\n", block_rows=1, threshold=0.5)
 @example(text="time,g_a\n0,1\n1,2\n1\n", block_rows=1, threshold=0.5)
+@example(text='timestamp,"g_\ra"\n0.0,1\n"1.0\r",2\n', block_rows=1, threshold=0.5)
 def test_plot_csv_matches_the_row_oracle(text, block_rows, threshold):
     """Same bytes or the same message as melting the whole trace one row at a time.
 

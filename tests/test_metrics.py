@@ -103,16 +103,23 @@ class TestClassificationReport:
     def test_degenerate_precision_flagged(self):
         report = evaluate_source(None, [S, S], None, [S, D])
         assert report.precision == 1.0
-        assert report.precision_defaulted
 
     def test_degenerate_recall_flagged(self):
         report = evaluate_source(None, [S, D], None, [S, S])
         assert report.recall == 1.0
-        assert report.recall_defaulted
 
     def test_no_evaluated_points_raises(self):
         with pytest.raises(InsufficientDataError):
             evaluate_source(None, [U, U], None, [D, S])
+
+    def test_scores_never_present_with_unknown_as_safe(self):
+        # a sensor with no score classifies only when Unknown counts as Safe: RMSE is None
+        blind, truth_g = series_on_grid([np.nan, np.nan]), series_on_grid([2.0, 0.5])
+        report = evaluate_source(blind, [U, U], truth_g, [D, S], unknown_as_safe=True)
+        assert report.rmse is None
+        assert (report.tp, report.fp, report.tn, report.fn) == (0, 0, 1, 1)
+        with pytest.raises(InsufficientDataError):
+            evaluate_source(blind, [U, U], truth_g, [D, S])
 
     def test_counts_sum_to_evaluated(self, rng):
         options = [D, S, U]

@@ -116,6 +116,20 @@ class TestGenerateTruth:
         with pytest.raises(ValueError, match="past the crossing point"):
             generate_truth(config)
 
+    @pytest.mark.parametrize(
+        "speed, accel, expected", [(0.0, 0.0, 0.0), (0.5, -1.0, -1.0), (0.0, -1.0, 0.0)]
+    )
+    def test_segments_under_the_phase_tolerance_give_the_state_at_zero(
+        self, speed, accel, expected
+    ):
+        # every segment is shorter than 1e-12 s, so the phase loop emits nothing
+        config = ScenarioConfig(1e-10, 4.0, speed, ((1e-13, accel), (1e-13, 2.0)))
+        truth = generate_truth(config)
+        assert truth.grid.count == 1
+        assert (truth.distance[0], truth.speed[0], truth.acceleration[0]) == (4.0, speed, expected)
+        recording = simulate_recording(config)
+        assert [stream.times.tolist() for stream in recording.values()] == [[0.0]] * 4
+
 
 class TestPinholeModel:
     MODEL = CameraSensorModel(focal_px=1000.0, object_width_m=0.32)
