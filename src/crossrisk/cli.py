@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -199,8 +200,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else USAGE_ERROR
     try:
-        config = _effective_config(args)
-        return _HANDLERS[args.command](args, config)
+        status = _HANDLERS[args.command](args, _effective_config(args))
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not in the flush at exit
+        return status
+    except BrokenPipeError:  # the reader stopped early; point stdout elsewhere for the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (OSError, ValueError) as exc:  # SensorCsvError and EmptyOverlapError among them
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

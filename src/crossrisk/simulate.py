@@ -27,14 +27,7 @@ from .fusion import (
     sensor_set_from_streams,
 )
 from .kinematics import KinematicTrack
-from .timeseries import (
-    TimeSeries,
-    UniformGrid,
-    _check_field_kinds,
-    _grid_count,
-    _is_finite_real,
-    _is_positive_rate,
-)
+from .timeseries import TimeSeries, UniformGrid, _check_field_kinds, _grid_count, _is_finite_real
 
 # Pinhole focal length in pixels for a 1280 px wide image with a 120 degree
 # horizontal field of view: (1280 / 2) / tan(60 deg).
@@ -125,7 +118,7 @@ class ScenarioConfig:
             pairs = [(None, None)]
         if not all(_is_finite_real(d) and _is_finite_real(a) for d, a in pairs):
             raise ValueError("segments must hold finite numbers, in [duration, accel] pairs")
-        segments = tuple((float(d), float(a)) for d, a in pairs) or ((self.duration, 0.0),)
+        segments = tuple((float(d), float(a)) for d, a in pairs) or ((float(self.duration), 0.0),)
         if any(d <= 0 for d, _ in segments):
             raise ValueError("segment durations must be positive")
         if sum(d for d, _ in segments) + 1e-9 < self.duration:
@@ -180,18 +173,13 @@ def _truth_state(
     return distance, speed, a
 
 
-def _rate_grid(start: float, end: float, rate_hz: float, name: str) -> UniformGrid:
-    what = f"{name} {rate_hz:g} over {end - start:g} s"
-    return UniformGrid(start, rate_hz, _grid_count(end - start, rate_hz, what))
-
-
 def generate_truth(config: ScenarioConfig) -> KinematicTrack:
     """Ground-truth kinematics at the truth rate, filled analytically.
 
     Raises if the configured motion drives the obstacle past the
     crossing point (negative distance) within the duration.
     """
-    grid = _rate_grid(0.0, config.duration, config.truth_rate_hz, "truth_rate_hz")
+    grid = UniformGrid.spanning(0.0, config.duration, config.truth_rate_hz, "truth_rate_hz")
     distance, speed, accel = _truth_state(config, grid.times())
     if np.any(distance < -1e-9):
         raise ValueError("scenario drives the obstacle past the crossing point")
@@ -232,9 +220,7 @@ def sample_sensor(
     always reports; a camera reports only while the obstacle is within
     its detection range, measuring through a noisy bounding-box width.
     """
-    if not _is_positive_rate(rate_hz):
-        raise ValueError(f"rate_hz must be a finite positive number, got {rate_hz!r}")
-    times = _rate_grid(truth.grid.start, truth.grid.end, rate_hz, "rate_hz").times()
+    times = UniformGrid.spanning(truth.grid.start, truth.grid.end, rate_hz, "rate_hz").times()
     true_d = np.interp(times, truth.grid.times(), truth.distance)
     rng = np.random.default_rng(seed)
 

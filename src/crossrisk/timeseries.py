@@ -121,19 +121,20 @@ def _check_field_kinds(record, may_be_infinite: str = "") -> None:
                 raise ValueError(f"{f.name} must be {kind}, got {value!r}")
 
 
-def _is_positive_rate(rate_hz) -> bool:
-    return _is_finite_real(rate_hz) and rate_hz > 0
+def _slack(rate_hz: float, magnitude: float) -> float:
+    """Seconds by which rounding may put a grid instant past a timestamp near ``magnitude``."""
+    return max(1e-9 / rate_hz, 4 * np.spacing(magnitude))
 
 
 def _grid_count(span: float, rate_hz: float, what: str, magnitude: float = 0.0) -> int:
     """Instants of a grid at ``rate_hz`` over ``span`` seconds, both ends included.
 
-    ``span`` may be short of a whole step by the rounding of timestamps
-    near ``magnitude``; a few of their float64 spacings are forgiven.
+    ``span`` may be short of a whole step by the grid's slack (see
+    :func:`_slack`) for timestamps near ``magnitude``.
     More than ``MAX_GRID_POINTS`` is a ValueError, raised before anything
     is allocated, whose message begins with ``what`` (the field and span).
     """
-    count = np.floor(span * rate_hz + max(1e-9, 4 * np.spacing(magnitude) * rate_hz)) + 1
+    count = np.floor((span + _slack(rate_hz, magnitude)) * rate_hz) + 1
     if count > MAX_GRID_POINTS:
         raise ValueError(
             f"{what} gives {count:.0f} grid points, more than the limit of {MAX_GRID_POINTS}"
@@ -164,9 +165,34 @@ class UniformGrid:
         times.setflags(write=False)
         object.__setattr__(self, "_times", times)
 
+    @classmethod
+    def spanning(cls, start: float, end: float, rate_hz: float, name: str) -> UniformGrid:
+        """The grid at ``rate_hz`` from ``start`` through ``end``, give or take the :attr:`slack`.
+
+        A rate that is not finite and positive, whose step is below ``MIN_STEP_SPACINGS`` float64
+        spacings of the timestamps, or that gives more than ``MAX_GRID_POINTS`` instants (checked
+        before anything is allocated) is a ValueError naming the setting ``name``.
+        """
+        if not (_is_finite_real(rate_hz) and rate_hz > 0):
+            raise ValueError(f"{name} must be a finite positive number, got {rate_hz!r}")
+        magnitude = max(abs(start), abs(end))
+        if 1 / rate_hz < MIN_STEP_SPACINGS * np.spacing(magnitude):
+            raise ValueError(
+                f"{name} {rate_hz:g} gives a {1 / rate_hz:g} s step, below {MIN_STEP_SPACINGS} "
+                f"times the float64 spacing ({np.spacing(magnitude):g} s) of timestamps near "
+                f"{magnitude:g} s"
+            )
+        what = f"{name} {rate_hz:g} over {end - start:g} s"
+        return cls(start, rate_hz, _grid_count(end - start, rate_hz, what, magnitude))
+
     @property
     def end(self) -> float:
         return self.start + (self.count - 1) / self.rate_hz
+
+    @property
+    def slack(self) -> float:
+        """Seconds by which rounding may put an instant past the timestamp it stands for."""
+        return _slack(self.rate_hz, max(abs(self.start), abs(self.end)))
 
     def times(self) -> np.ndarray:
         return self._times
@@ -209,10 +235,10 @@ def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
 def resample(series: TimeSeries, grid: UniformGrid, max_gap: float = 0.5) -> TimeSeries:
     """Linearly interpolate a series onto a uniform grid.
 
-    Grid instants before the first present reading, after the last one,
-    or falling inside a gap between present readings longer than
-    ``max_gap`` seconds are left missing; long gaps are sensor outages
-    and must not be bridged with fabricated values.
+    Grid instants before the first present reading, more than the grid's
+    slack after the last one (nearer, they take it), or inside a gap
+    between present readings longer than ``max_gap`` seconds are left
+    missing; long gaps are sensor outages and must not be bridged.
 
     Raises
     ------
@@ -228,21 +254,17 @@ def resample(series: TimeSeries, grid: UniformGrid, max_gap: float = 0.5) -> Tim
         )
     target = grid.times()
     present = series.present
-    tp = series.times[present]
-    vp = series.values[present]
-    if tp.size == 0:
-        return TimeSeries(target, _frozen(np.full(grid.count, np.nan)))
-
-    idx = np.searchsorted(tp, target, side="left")
-    lo = np.maximum(idx - 1, 0)
-    hi = np.minimum(idx, tp.size - 1)
-    t_lo, t_hi = tp[lo], tp[hi]
+    # missing sentinel readings at -inf and +inf: every instant lies between two readings
+    tp = np.concatenate(([-np.inf], series.times[present], [np.inf]))
+    vp = np.concatenate(([np.nan], series.values[present], [np.nan]))
+    hi = np.searchsorted(tp, target)
+    t_lo, t_hi = tp[hi - 1], tp[hi]
     gap = t_hi - t_lo
-    inner = (idx > 0) & (idx < tp.size) & (gap <= max_gap)
-    with np.errstate(divide="ignore", invalid="ignore"):  # gap 0 outside the span: dropped
+    with np.errstate(invalid="ignore"):  # inf / inf next to the -inf sentinel: missing
         w = (target - t_lo) / gap
-        val = vp[lo] * (1.0 - w) + vp[hi] * w
-    out = np.where(t_hi == target, vp[hi], np.where(inner, val, np.nan))
+        val = vp[hi - 1] * (1.0 - w) + vp[hi] * w
+    out = np.where(t_hi == target, vp[hi], np.where(gap <= max_gap, val, np.nan))
+    out[slice(*np.searchsorted(target, [tp[-2], tp[-2] + grid.slack], side="right"))] = vp[-2]
     return TimeSeries(target, _frozen(out))
 
 
@@ -251,26 +273,13 @@ def align(
 ) -> tuple[UniformGrid, list[TimeSeries]]:
     """Resample several channels onto one shared grid.
 
-    The grid spans the union of the input time ranges at ``rate_hz``;
-    every output series carries identical timestamps, with each channel
-    missing outside its own coverage.  A grid of more than
-    ``MAX_GRID_POINTS`` instants is rejected before anything is allocated,
-    as is a step below ``MIN_STEP_SPACINGS`` float64 spacings of its times.
+    The grid (:meth:`UniformGrid.spanning`, naming the rate ``resample_hz``) spans
+    the union of the input time ranges; every output series carries identical
+    timestamps, with each channel missing outside its own coverage.
     """
     if not series_list:
         raise ValueError("series_list must not be empty")
-    if not _is_positive_rate(rate_hz):
-        raise ValueError(f"resample_hz must be a finite positive number, got {rate_hz!r}")
     start = min(s.span[0] for s in series_list)
     end = max(s.span[1] for s in series_list)
-    magnitude = max(abs(start), abs(end))
-    if 1 / rate_hz < MIN_STEP_SPACINGS * np.spacing(magnitude):
-        raise ValueError(
-            f"resample_hz {rate_hz:g} gives a {1 / rate_hz:g} s step, below {MIN_STEP_SPACINGS} "
-            f"times the float64 spacing ({np.spacing(magnitude):g} s) of timestamps near "
-            f"{magnitude:g} s"
-        )
-    what = f"resample_hz {rate_hz:g} over {end - start:g} s"
-    count = _grid_count(end - start, rate_hz, what, magnitude)
-    grid = UniformGrid(start=start, rate_hz=rate_hz, count=count)
+    grid = UniformGrid.spanning(start, end, rate_hz, "resample_hz")
     return grid, [resample(s, grid, max_gap=max_gap) for s in series_list]

@@ -8,7 +8,10 @@ import io
 import json
 import math
 import numbers
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -487,6 +490,36 @@ class TestCliCommands:
             outputs.append((grid.split("points=")[1], present, values))
         assert outputs[0][0] == "29"
         assert outputs[1] == outputs[0]
+
+    def test_last_grid_instant_just_past_the_last_row_takes_it(self, tmp_path, capsys):
+        # the grid's last instant 0.01 + 28 / 100 is one float64 spacing after the last row, 0.29
+        path, fused = tmp_path / "late.csv", tmp_path / "fused.csv"
+        rows = [f"{(1 + k) / 100:.6f},2.0,2.0,2.0,2.0" for k in range(29)]
+        path.write_text(SENSOR_HEADER + "\n".join(rows) + "\n")
+        assert main(["ingest", str(path)]) == 0
+        assert capsys.readouterr().out.count("29/29 distance points present") == 4
+        assert main(["fuse", str(path), str(fused)]) == 0
+        assert "Unknown" not in fused.read_text().splitlines()[-1]
+
+    def test_closed_stdout_exits_quietly(self, tmp_path, sensors_csv):
+        fused = tmp_path / "fused.csv"
+        assert main(["fuse", str(sensors_csv), str(fused)]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(crossrisk.simulate.__file__).parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+        # the plot rows fill more than a pipe's buffer, so plotdata meets the closed pipe while
+        # it writes; ingest's few lines wait in the stdout buffer until it is flushed
+        for command, read in [
+            (["plotdata", str(fused), "/dev/stdout"], [b"timestamp,series,value\n"]),
+            (["ingest", str(sensors_csv)], []),
+        ]:
+            with subprocess.Popen(
+                [sys.executable, "-m", "crossrisk", *command],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            ) as proc:
+                assert [proc.stdout.readline() for _ in read] == read
+                proc.stdout.close()
+                assert proc.stderr.read() == b""
+                assert proc.wait(timeout=60) == 0
 
     def test_config_file_flag(self, tmp_path, sensors_csv, capsys):
         config = tmp_path / "config.json"

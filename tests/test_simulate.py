@@ -14,6 +14,9 @@ from crossrisk import (
     RangeSensorModel,
     RunConfig,
     ScenarioConfig,
+    TimeSeries,
+    UniformGrid,
+    align,
     bbox_width_px,
     distance_from_bbox,
     generate_run,
@@ -166,10 +169,27 @@ class TestSampleSensor:
         ScenarioConfig(duration=5.0, initial_distance=4.0, initial_speed=0.5)
     )
 
-    @pytest.mark.parametrize("rate_hz", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_rate_named(self, rate_hz):
-        with pytest.raises(ValueError, match="rate_hz"):
-            sample_sensor(self.TRUTH, RangeSensorModel(), rate_hz)
+    @pytest.mark.parametrize(
+        "rate_hz, message",
+        [
+            *(pytest.param(rate, "must be a finite positive number", id=str(rate))
+              for rate in (0.0, -1.0, float("nan"), float("inf"))),
+            pytest.param(1e12, r"1e\+12 over 5 s gives \d+ grid points, more than the limit",
+                         id="over-the-point-limit"),
+            pytest.param(1e13, r"1e\+13 gives a 1e-13 s step, below 1000 times the float64",
+                         id="step-below-the-floor"),
+        ],
+    )
+    def test_bad_rate_named(self, rate_hz, message):
+        """Every grid is built by ``UniformGrid.spanning``, whose errors name the setting."""
+        five_seconds = TimeSeries([0.0, 5.0], [1.0, 1.0])
+        for name, build in [
+            ("truth_rate_hz", lambda: UniformGrid.spanning(0.0, 5.0, rate_hz, "truth_rate_hz")),
+            ("resample_hz", lambda: align([five_seconds], rate_hz)),
+            ("rate_hz", lambda: sample_sensor(self.TRUTH, RangeSensorModel(), rate_hz)),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} {message}"):
+                build()
 
     def test_rate_over_the_point_limit_named(self):
         # refused before the 5e12 sample instants are allocated

@@ -140,7 +140,10 @@ class TestSmoothTrailing:
 
 
 def retired_resample(series, grid, max_gap):
-    """The values of the resample that indexed exact hits and interior gaps apart: the oracle."""
+    """The oracle: the values of the resample that indexed exact hits, gaps and the end apart.
+
+    A grid instant at most the grid's slack after the last present reading takes that reading.
+    """
     target = grid.times()
     out = np.full(grid.count, np.nan)
     tp = series.times[series.present]
@@ -159,6 +162,7 @@ def retired_resample(series, grid, max_gap):
         lo, hi = left[ok], right[ok]
         w = (target[sel] - tp[lo]) / (tp[hi] - tp[lo])
         out[sel] = vp[lo] * (1.0 - w) + vp[hi] * w
+    out[(target > tp[-1]) & (target <= tp[-1] + grid.slack)] = vp[-1]
     return out
 
 
@@ -277,6 +281,18 @@ class TestAlign:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             align([], 10.0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        start=st.one_of(st.floats(0.0, 2.0), st.floats(1.6e9, 1.8e9)),
+        rows=st.sampled_from([2, 29, 101, 1000]),
+    )
+    def test_fully_present_recording_has_no_empty_instant(self, start, rows):
+        """Timestamps as a CSV prints them: rounding never leaves the grid's last instant empty."""
+        times = np.array([f"{start + k / 100:.6f}" for k in range(rows)], dtype=float)
+        grid, (aligned,) = align([TimeSeries(times, np.full(rows, 2.0))], 100.0)
+        assert grid.count >= rows - 1
+        assert not np.isnan(aligned.values).any()
 
     @pytest.mark.parametrize("rate_hz", [np.nan, np.inf, 0.0, -1.0])
     def test_bad_rate_names_resample_hz(self, rate_hz):
