@@ -79,7 +79,7 @@ def differentiate(
     """Derive closing speed and acceleration from a gridded distance stream.
 
     This is the one way from a :class:`TimeSeries` onto a track: the
-    series must lie on ``grid``.
+    series must lie on ``grid``, within ``grid.slack`` of its instants.
 
     Backward first differences: ``speed[i] = (d[i-1] - d[i]) * rate`` and
     ``accel[i] = (speed[i] - speed[i-1]) * rate``, so the first one (resp.
@@ -92,7 +92,7 @@ def differentiate(
         raise ValueError("smooth_window must be at least 1")
     if distance.times is not grid.times() and (  # a series on the grid shares its times
         len(distance) != grid.count
-        or not np.allclose(distance.times, grid.times(), rtol=0.0, atol=1e-12)
+        or not np.allclose(distance.times, grid.times(), rtol=0.0, atol=grid.slack)
     ):
         raise ValueError("distance series does not lie on the track grid")
     d = distance.values

@@ -235,10 +235,10 @@ def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
 def resample(series: TimeSeries, grid: UniformGrid, max_gap: float = 0.5) -> TimeSeries:
     """Linearly interpolate a series onto a uniform grid.
 
-    Grid instants before the first present reading, more than the grid's
-    slack after the last one (nearer, they take it), or inside a gap
-    between present readings longer than ``max_gap`` seconds are left
-    missing; long gaps are sensor outages and must not be bridged.
+    An instant within the grid's slack of a present reading takes it.  Any
+    other instant interpolates its two neighbouring present readings if
+    they are at most ``max_gap`` seconds apart and is missing otherwise
+    (so before the first and after the last); outages are not bridged.
 
     Raises
     ------
@@ -248,7 +248,7 @@ def resample(series: TimeSeries, grid: UniformGrid, max_gap: float = 0.5) -> Tim
     if max_gap <= 0:
         raise ValueError("max_gap must be positive")
     t0, t1 = series.span
-    if grid.end < t0 or grid.start > t1:
+    if grid.end < t0 - grid.slack or grid.start > t1 + grid.slack:
         raise EmptyOverlapError(
             f"grid [{grid.start}, {grid.end}] does not overlap series span [{t0}, {t1}]"
         )
@@ -257,14 +257,14 @@ def resample(series: TimeSeries, grid: UniformGrid, max_gap: float = 0.5) -> Tim
     # missing sentinel readings at -inf and +inf: every instant lies between two readings
     tp = np.concatenate(([-np.inf], series.times[present], [np.inf]))
     vp = np.concatenate(([np.nan], series.values[present], [np.nan]))
-    hi = np.searchsorted(tp, target)
+    # tp[hi], the first reading at most the slack early: the instant's own, or its right neighbour
+    hi = np.searchsorted(tp, target - grid.slack)
     t_lo, t_hi = tp[hi - 1], tp[hi]
     gap = t_hi - t_lo
     with np.errstate(invalid="ignore"):  # inf / inf next to the -inf sentinel: missing
         w = (target - t_lo) / gap
         val = vp[hi - 1] * (1.0 - w) + vp[hi] * w
-    out = np.where(t_hi == target, vp[hi], np.where(gap <= max_gap, val, np.nan))
-    out[slice(*np.searchsorted(target, [tp[-2], tp[-2] + grid.slack], side="right"))] = vp[-2]
+    out = np.where(t_hi - target <= grid.slack, vp[hi], np.where(gap <= max_gap, val, np.nan))
     return TimeSeries(target, _frozen(out))
 
 

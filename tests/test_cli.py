@@ -501,6 +501,18 @@ class TestCliCommands:
         assert main(["fuse", str(path), str(fused)]) == 0
         assert "Unknown" not in fused.read_text().splitlines()[-1]
 
+    def test_late_start_and_dropout_keep_every_present_row(self, tmp_path, capsys):
+        # the wheelchair camera starts 10 rows late and drops out for a second; rounding puts
+        # grid instant 10 a few float64 spacings before its first row, which it must still take
+        path = tmp_path / "epoch_gap.csv"
+        rows = [
+            f"{1729000000.3 + 0.01 * k:.6f},2.0,{'' if k < 10 or 100 <= k < 200 else 2.0},2.0"
+            for k in range(300)
+        ]
+        path.write_text(SENSOR_HEADER.replace(",distance_tracker", "") + "\n".join(rows) + "\n")
+        assert main(["ingest", str(path)]) == 0
+        assert "camera_aw     190/300 distance points present" in capsys.readouterr().out
+
     def test_closed_stdout_exits_quietly(self, tmp_path, sensors_csv):
         fused = tmp_path / "fused.csv"
         assert main(["fuse", str(sensors_csv), str(fused)]) == 0

@@ -8,6 +8,8 @@ import pytest
 from crossrisk import (
     CrossingModel,
     KinematicTrack,
+    TimeSeries,
+    UniformGrid,
     differentiate,
     kinematic_safety_check,
     numeric_collision_check,
@@ -58,8 +60,6 @@ class TestDifferentiate:
         assert np.isnan(track.acceleration).all()
 
     def test_requires_grid_match(self):
-        from crossrisk import UniformGrid
-
         series = series_on_grid([1.0, 2.0, 3.0], rate_hz=10.0)
         for grid in (
             UniformGrid(start=0.0, rate_hz=100.0, count=3),  # other instants
@@ -67,6 +67,20 @@ class TestDifferentiate:
         ):
             with pytest.raises(ValueError, match="does not lie on the track grid"):
                 differentiate(series, grid)
+
+    @pytest.mark.parametrize("start", [0.0, 1.729e9])
+    def test_on_grid_means_within_the_grid_slack(self, start):
+        grid = UniformGrid(start=start, rate_hz=100.0, count=40)
+        values = np.linspace(3.0, 2.0, 40)
+        shared = differentiate(TimeSeries(grid.times(), values), grid)
+        with pytest.raises(ValueError, match="does not lie on the track grid"):
+            differentiate(TimeSeries(grid.times() + 2 * grid.slack, values), grid)
+        # every other instant half the slack early, the rest half the slack late
+        near = grid.times() + np.resize([-0.5, 0.5], 40) * grid.slack
+        assert not np.array_equal(near, grid.times())
+        track = differentiate(TimeSeries(near, values), grid)
+        for name in ("distance", "speed", "acceleration"):
+            assert np.array_equal(getattr(track, name), getattr(shared, name), equal_nan=True)
 
     def test_zero_smooth_window_rejected(self):
         with pytest.raises(ValueError, match="smooth_window"):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crossrisk import EmptyOverlapError, TimeSeries, UniformGrid, align, resample, smooth_trailing
@@ -140,9 +140,9 @@ class TestSmoothTrailing:
 
 
 def retired_resample(series, grid, max_gap):
-    """The oracle: the values of the resample that indexed exact hits, gaps and the end apart.
+    """The oracle: the values of the resample that indexed hits and gaps apart.
 
-    A grid instant at most the grid's slack after the last present reading takes that reading.
+    A grid instant within the grid's slack of a present reading takes that reading.
     """
     target = grid.times()
     out = np.full(grid.count, np.nan)
@@ -150,10 +150,10 @@ def retired_resample(series, grid, max_gap):
     vp = series.values[series.present]
     if tp.size == 0:
         return out
-    idx = np.searchsorted(tp, target, side="left")
-    exact = (idx < tp.size) & (tp[np.minimum(idx, tp.size - 1)] == target)
-    out[exact] = vp[idx[exact]]
-    interior = (idx > 0) & (idx < tp.size) & ~exact
+    idx = np.searchsorted(tp, target - grid.slack, side="left")
+    hit = (idx < tp.size) & (tp[np.minimum(idx, tp.size - 1)] - target <= grid.slack)
+    out[hit] = vp[idx[hit]]
+    interior = (idx > 0) & (idx < tp.size) & ~hit
     if np.any(interior):
         left = idx[interior] - 1
         right = idx[interior]
@@ -162,7 +162,6 @@ def retired_resample(series, grid, max_gap):
         lo, hi = left[ok], right[ok]
         w = (target[sel] - tp[lo]) / (tp[hi] - tp[lo])
         out[sel] = vp[lo] * (1.0 - w) + vp[hi] * w
-    out[(target > tp[-1]) & (target <= tp[-1] + grid.slack)] = vp[-1]
     return out
 
 
@@ -187,11 +186,15 @@ def series_and_grids(draw):
 class TestResample:
     @settings(deadline=None, max_examples=300)
     @given(case=series_and_grids())
+    # the reading at 3 * 0.1 lies one float64 spacing past the last instant, 3 / 10; alone, it is
+    # also the whole series span, which the grid overlaps only by the slack
+    @example(case=(TimeSeries(np.array([0, 3]) * 0.1, [1.0, 2.0]), UniformGrid(0.0, 10.0, 4), 0.1))
+    @example(case=(TimeSeries(np.array([3]) * 0.1, [1.0]), UniformGrid(0.0, 10.0, 4), 0.1))
     def test_matches_the_retired_resample_bit_for_bit(self, case):
-        """Gaps equal to ``max_gap``, exact grid hits, NaN runs, single samples, wide grids."""
+        """Gaps equal to ``max_gap``, grid hits, NaN runs, single samples, wide grids."""
         series, grid, max_gap = case
         t0, t1 = series.span
-        assume(grid.start <= t1 and grid.end >= t0)
+        assume(grid.start <= t1 + grid.slack and grid.end >= t0 - grid.slack)
         got = resample(series, grid, max_gap=max_gap).values
         want = retired_resample(series, grid, max_gap)
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
@@ -284,15 +287,28 @@ class TestAlign:
 
     @settings(deadline=None, max_examples=200)
     @given(
-        start=st.one_of(st.floats(0.0, 2.0), st.floats(1.6e9, 1.8e9)),
+        start=st.one_of(st.floats(0.0, 2.0), st.floats(1.6e9, 1.8e9)).map(lambda s: round(s, 6)),
         rows=st.sampled_from([2, 29, 101, 1000]),
+        late=st.integers(0, 20),
+        dropout=st.tuples(st.integers(0, 1000), st.integers(50, 200)),
     )
-    def test_fully_present_recording_has_no_empty_instant(self, start, rows):
-        """Timestamps as a CSV prints them: rounding never leaves the grid's last instant empty."""
+    def test_fully_present_recording_has_no_empty_instant(self, start, rows, late, dropout):
+        """Timestamps as a CSV prints them: rounding never leaves a present row's instant empty.
+
+        A second column starts ``late`` rows late and drops out for longer than ``max_gap``
+        from row ``dropout[0]`` for ``dropout[1]`` rows.  Starts lie on the microsecond, so row
+        ``k`` of either column stands for grid instant ``k`` and must carry that row's value.
+        """
         times = np.array([f"{start + k / 100:.6f}" for k in range(rows)], dtype=float)
-        grid, (aligned,) = align([TimeSeries(times, np.full(rows, 2.0))], 100.0)
-        assert grid.count >= rows - 1
-        assert not np.isnan(aligned.values).any()
+        late_values = np.arange(rows, dtype=float)
+        late_values[:late] = np.nan
+        late_values[dropout[0] : dropout[0] + dropout[1]] = np.nan
+        series = [TimeSeries(times, np.full(rows, 2.0)), TimeSeries(times, late_values)]
+        grid, (full, partial) = align(series, 100.0, max_gap=0.5)
+        assert grid.count == rows
+        assert not np.isnan(full.values).any()
+        present = ~np.isnan(late_values)
+        assert partial.values[present].tolist() == late_values[present].tolist()
 
     @pytest.mark.parametrize("rate_hz", [np.nan, np.inf, 0.0, -1.0])
     def test_bad_rate_names_resample_hz(self, rate_hz):
