@@ -142,7 +142,7 @@ class TestSmoothTrailing:
 def retired_resample(series, grid, max_gap):
     """The oracle: the values of the resample that indexed hits and gaps apart.
 
-    A grid instant within the grid's slack of a present reading takes that reading.
+    A grid instant within the grid's slack of a present reading takes the first such reading.
     """
     target = grid.times()
     out = np.full(grid.count, np.nan)
@@ -150,9 +150,10 @@ def retired_resample(series, grid, max_gap):
     vp = series.values[series.present]
     if tp.size == 0:
         return out
-    idx = np.searchsorted(tp, target - grid.slack, side="left")
-    hit = (idx < tp.size) & (tp[np.minimum(idx, tp.size - 1)] - target <= grid.slack)
-    out[hit] = vp[idx[hit]]
+    near = np.abs(tp[:, None] - target) <= grid.slack
+    hit = near.any(axis=0)
+    out[hit] = vp[near.argmax(axis=0)[hit]]
+    idx = np.searchsorted(tp, target, side="left")
     interior = (idx > 0) & (idx < tp.size) & ~hit
     if np.any(interior):
         left = idx[interior] - 1
@@ -287,7 +288,7 @@ class TestAlign:
 
     @settings(deadline=None, max_examples=200)
     @given(
-        start=st.one_of(st.floats(0.0, 2.0), st.floats(1.6e9, 1.8e9)).map(lambda s: round(s, 6)),
+        start=st.one_of(st.floats(0.0, 2.0), st.floats(1.6e9, 1.8e9)),
         rows=st.sampled_from([2, 29, 101, 1000]),
         late=st.integers(0, 20),
         dropout=st.tuples(st.integers(0, 1000), st.integers(50, 200)),
@@ -295,10 +296,17 @@ class TestAlign:
     def test_fully_present_recording_has_no_empty_instant(self, start, rows, late, dropout):
         """Timestamps as a CSV prints them: rounding never leaves a present row's instant empty.
 
-        A second column starts ``late`` rows late and drops out for longer than ``max_gap``
-        from row ``dropout[0]`` for ``dropout[1]`` rows.  Starts lie on the microsecond, so row
-        ``k`` of either column stands for grid instant ``k`` and must carry that row's value.
+        A fully present column from any start has no empty instant.  A second column starts
+        ``late`` rows late and drops out for longer than ``max_gap`` from row ``dropout[0]``
+        for ``dropout[1]`` rows; from the start rounded to the microsecond, row ``k`` stands
+        for grid instant ``k`` and must carry that row's value.
         """
+        times = np.array([f"{start + k / 100:.6f}" for k in range(rows)], dtype=float)
+        grid, (aligned,) = align([TimeSeries(times, np.full(rows, 2.0))], 100.0)
+        assert grid.count >= rows - 1
+        assert not np.isnan(aligned.values).any()
+
+        start = round(start, 6)
         times = np.array([f"{start + k / 100:.6f}" for k in range(rows)], dtype=float)
         late_values = np.arange(rows, dtype=float)
         late_values[:late] = np.nan
