@@ -7,9 +7,11 @@ error.  All commands are deterministic for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import os
+import shutil
 import sys
 import traceback
 from pathlib import Path
@@ -109,38 +111,110 @@ def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def _fuse_one(path: str, output: Path, config: RunConfig) -> None:
+def _run_inputs(work, jobs: list[tuple], commit) -> None:
+    """Call ``commit(work(*job))`` for each job, in job order.
+
+    Several jobs run on forked worker processes, one per usable CPU at
+    most, and ``commit`` still sees their results in job order.  The
+    first exception in job order propagates once the queued jobs are
+    cancelled and the running ones have finished, so no later job is
+    committed.
+    """
+    if len(jobs) == 1:
+        commit(work(*jobs[0]))
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    # a forked child flushes the stdio buffers it inherited when it exits: empty them first
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        pending = collections.deque(pool.submit(work, *job) for job in jobs)
+        while pending:
+            commit(pending.popleft().result())
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _fused_trace(path: str, config: RunConfig, warn):
+    """The fusion trace of one recording; ``warn`` gets each warning about it."""
     sensors = _ingest(path, config)
     if sensors.tracker() is None:
-        print(
-            f"warning: {path}: no tracker column; evaluation disabled for this trace",
-            file=sys.stderr,
-        )
-    trace = fuse_all(
+        warn(f"warning: {path}: no tracker column; evaluation disabled for this trace")
+    return fuse_all(
         sensors, config.danger, derivative_smooth_window=config.smooth_window_derivative
     )
-    crio.write_fused_csv(output, trace, trace.sensor_g)
+
+
+def _warn(message: str) -> None:
+    print(message, file=sys.stderr)
+
+
+def _fuse_part(path: str, part: Path, config: RunConfig) -> list[str]:
+    """Write the trace of ``path`` to ``part``; returns the warnings about it."""
+    warnings: list[str] = []
+    trace = _fused_trace(path, config, warnings.append)
+    crio.write_fused_csv(part, trace, trace.sensor_g)
+    return warnings
 
 
 def cmd_fuse(args: argparse.Namespace, config: RunConfig) -> int:
     out = Path(args.output)
-    if len(args.inputs) > 1:
-        stems = [Path(p).stem for p in args.inputs]
-        clashing = [p for p, stem in zip(args.inputs, stems) if stems.count(stem) > 1]
-        if clashing:
-            print(
-                f"error: inputs {', '.join(clashing)} share a file stem, so their "
-                f"fused traces in {out} would overwrite each other",
-                file=sys.stderr,
-            )
-            return USAGE_ERROR
-        out.mkdir(parents=True, exist_ok=True)
-        targets = [out / f"{stem}_fused.csv" for stem in stems]
-    else:
-        targets = [out]
-    for path, target in zip(args.inputs, targets):
-        _fuse_one(path, target, config)
+    if len(args.inputs) == 1:  # streamed to the file, with no pool
+        trace = _fused_trace(args.inputs[0], config, _warn)
+        crio.write_fused_csv(out, trace, trace.sensor_g)
+        return 0
+    stems = [Path(p).stem for p in args.inputs]
+    clashing = [p for p, stem in zip(args.inputs, stems) if stems.count(stem) > 1]
+    if clashing:
+        print(
+            f"error: inputs {', '.join(clashing)} share a file stem, so their "
+            f"fused traces in {out} would overwrite each other",
+            file=sys.stderr,
+        )
+        return USAGE_ERROR
+    targets = [out / f"{stem}_fused.csv" for stem in stems]
+    clobbered = [
+        (source, target, path)
+        for source, target in zip(args.inputs, targets)
+        for path in args.inputs
+        if _same_file(path, target)
+    ]
+    if clobbered:  # checked before any input is read, as workers read them in no fixed order
+        print(
+            "error: the fused trace of %s, %s, would overwrite the input %s" % clobbered[0],
+            file=sys.stderr,
+        )
+        return USAGE_ERROR
+    out.mkdir(parents=True, exist_ok=True)
+    # each worker writes a trace beside its target; they replace the targets in input order
+    parts = [out / f".{target.name}.{os.getpid()}.part" for target in targets]
+    uncommitted = zip(parts, targets)
+
+    def commit(warnings: list[str]) -> None:
+        part, target = next(uncommitted)
+        for warning in warnings:
+            _warn(warning)
+        with open(part, "rb") as src, crio._replacing(target) as fh:
+            shutil.copyfileobj(src, fh)
+        part.unlink()
+
+    try:
+        _run_inputs(_fuse_part, [(p, part, config) for p, part in zip(args.inputs, parts)], commit)
+    finally:  # the parts of the inputs after a failing one
+        for part in parts:
+            part.unlink(missing_ok=True)
     return 0
+
+
+def _same_file(a: str | Path, b: str | Path) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist
+        return False
 
 
 def _evaluate_one(path: str, config: RunConfig) -> dict:
@@ -157,8 +231,7 @@ def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
     """Print the reports of every input; on a failing input, those finished before it."""
     results = []
     try:
-        for path in args.inputs:
-            results.append(_evaluate_one(path, config))
+        _run_inputs(_evaluate_one, [(path, config) for path in args.inputs], results.append)
     finally:
         if results and args.json and len(args.inputs) == 1:
             sys.stdout.write(crio.reports_to_json(results[0]))

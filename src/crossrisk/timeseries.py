@@ -27,6 +27,8 @@ class EmptyOverlapError(ValueError):
 
 # Holds a day at 100 Hz (8.64e6 points).  `fuse` peaks near 330 bytes per grid
 # point (measured at 6e5 points), so a mistyped rate stops near 3 GiB, not 45.
+# That is per worker: a multi-input command runs one input on each of up to one
+# worker process per usable CPU, so its peak is that many times as high.
 MAX_GRID_POINTS = 10_000_000
 # A grid step spans at least this many float64 spacings of its timestamps, so
 # grid instants stay distinct and evenly spaced to within 0.1% of the step.

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
 import numbers
 import os
 import re
@@ -753,6 +754,26 @@ class TestCliCommands:
         assert str(inputs[0]) in err and str(inputs[1]) in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("link", [None, os.symlink, os.link])
+    def test_fuse_output_that_is_an_input_is_usage_error(
+        self, tmp_path, sensors_csv, capsys, link
+    ):
+        # x.csv's trace would be x_fused.csv, which is (or links to) the other input
+        recording = tmp_path / "x_fused.csv"
+        inputs = [tmp_path / "x.csv", recording]
+        for path in inputs:
+            path.write_bytes(sensors_csv.read_bytes())
+        if link is not None:
+            inputs[1] = tmp_path / "other.csv"
+            link(recording, inputs[1])
+        before = recording.read_bytes()
+        assert main(["fuse", *map(str, inputs), str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{recording}, would overwrite the input {inputs[1]}" in err
+        assert "Traceback" not in err
+        assert recording.read_bytes() == before
+        assert not (tmp_path / "other_fused.csv").exists()
+
     def test_source_that_never_detects_is_insufficient(self, tmp_path, capsys):
         scenario = tmp_path / "blind.json"
         scenario.write_text(
@@ -813,6 +834,137 @@ class TestCliCommands:
         rows = recording.read_text().splitlines()
         assert rows[0] == SENSOR_HEADER.strip() and len(rows) == 2
         assert rows[1].startswith("0.000000,") and rows[1].endswith(",4.000000")
+
+
+def _drop_tracker(path: Path) -> Path:
+    """Delete the last column, the tracker's, of a simulated recording."""
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+    return path
+
+
+class TestMultipleInputs:
+    """Several inputs run on worker processes, yet act as single runs made in input order."""
+
+    @pytest.fixture
+    def recordings(self, tmp_path, scenario_file):
+        """Five recordings; the second and the fourth have no tracker column."""
+        paths = []
+        for i, name in enumerate("abcde"):
+            path = tmp_path / f"{name}.csv"
+            assert main(["simulate", str(scenario_file), str(path), "--seed", str(i)]) == 0
+            paths.append(_drop_tracker(path) if name in "bd" else path)
+        return paths
+
+    @staticmethod
+    def _bad(path: Path) -> Path:
+        path.write_text(SENSOR_HEADER + "0.0,2.0,,,2.0\n0.1,oops,,,2.0\n")
+        return path
+
+    def test_outputs_are_those_of_single_runs(self, tmp_path, recordings, capsys):
+        # five inputs on at most two workers: one worker runs several of them
+        out = tmp_path / "fused"
+        assert main(["fuse", *map(str, recordings), str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"warning: {path}: no tracker column; evaluation disabled for this trace"
+            for path in recordings[1:4:2]
+        ]
+        for path in recordings:
+            single = tmp_path / f"{path.stem}_single.csv"
+            assert main(["fuse", str(path), str(single)]) == 0
+            assert (out / f"{path.stem}_fused.csv").read_bytes() == single.read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == [f"{c}_fused.csv" for c in "abcde"]
+
+        tracked = [str(p) for p in recordings[::2]]
+        capsys.readouterr()
+        singles = {}
+        for path in tracked:
+            assert main(["evaluate", path]) == 0
+            table = capsys.readouterr().out
+            assert main(["evaluate", "--json", path]) == 0
+            singles[path] = (table, json.loads(capsys.readouterr().out))
+        assert main(["evaluate", *tracked]) == 0
+        assert capsys.readouterr().out == "\n".join(
+            f"== {path} ==\n{singles[path][0]}" for path in tracked
+        )
+        assert main(["evaluate", "--json", *tracked]) == 0
+        assert json.loads(capsys.readouterr().out) == [
+            {"input": path, "reports": singles[path][1]} for path in tracked
+        ]
+
+    @pytest.mark.parametrize("command", ["fuse", "evaluate"])
+    def test_no_worker_outlives_the_command(self, tmp_path, recordings, capsys, command):
+        good = [str(p) for p in recordings[::2]]
+        bad = str(self._bad(tmp_path / "bad.csv"))
+
+        def run(*inputs: str, out: str):
+            args = [command, *inputs] + ([str(tmp_path / out)] if command == "fuse" else [])
+            status = main(args)
+            assert multiprocessing.active_children() == []
+            return status, capsys.readouterr()
+
+        status, _ = run(*good, out="all")
+        assert status == 0
+        for inputs, out, finished in [
+            ([bad, *good], "first_bad", []),
+            ([*good, bad], "last_bad", good),
+        ]:
+            status, captured = run(*inputs, out=out)
+            assert status == 2
+            assert captured.err.splitlines() == [
+                f"error: {bad}: row 3: column 'distance_range': not a number: 'oops'"
+            ]
+            if command == "fuse":  # the traces of the inputs before the failing one, no more
+                written = sorted(p.name for p in (tmp_path / out).iterdir())
+                assert written == sorted(f"{Path(p).stem}_fused.csv" for p in finished)
+            else:
+                assert re.findall("^== (.*) ==$", captured.out, re.M) == finished
+
+    @pytest.mark.parametrize("command", ["fuse", "evaluate"])
+    def test_first_failure_in_input_order_wins(self, tmp_path, capsys, command):
+        # the first bad input fails after reading its 18 001 rows, the second at its third line
+        scenario = tmp_path / "long.json"
+        standing = {"duration": 600.0, "initial_distance": 4.0, "segments": [[600.0, 0.0]]}
+        scenario.write_text(json.dumps(standing))
+        slow = tmp_path / "slow.csv"
+        assert main(["simulate", str(scenario), str(slow)]) == 0
+        lines = slow.read_text().splitlines()
+        slow.write_text("\n".join(lines[:-1] + [lines[-1].replace(",", ",oops,", 1)]) + "\n")
+        fast = self._bad(tmp_path / "fast.csv")
+        args = [command, str(slow), str(fast)]
+        if command == "fuse":
+            args.append(str(tmp_path / "out"))
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {slow}: row {len(lines)}") and str(fast) not in err
+
+    def test_pending_stdout_is_printed_once(self, recordings):
+        # a forked worker flushes the stdio buffers it inherited when it exits
+        tracked = [str(p) for p in recordings[::2]]
+        script = (
+            "import sys; from crossrisk.cli import main; "
+            f"print('<buffered>'); sys.exit(main(['evaluate', *{tracked!r}]))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(crossrisk.simulate.__file__).parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("<buffered>") == 1
+        assert proc.stdout.count("Range sensors") == len(tracked)
+
+    def test_importing_the_cli_starts_no_process_machinery(self):
+        script = (
+            "import sys, crossrisk.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(crossrisk.simulate.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.stdout == "[]\n", proc.stderr
 
 
 @settings(deadline=None, max_examples=15)
