@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import collections
 import dataclasses
+import functools
 import json
 import os
 import shutil
@@ -29,6 +30,7 @@ DATA_ERROR = 2
 INTERNAL_ERROR = 3
 
 
+@functools.cache  # built on the first call, then reused: no parse leaves state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crossrisk",
@@ -118,15 +120,25 @@ def _run_inputs(work, jobs: list[tuple], commit) -> None:
     most, and ``commit`` still sees their results in job order.  The
     first exception in job order propagates once the queued jobs are
     cancelled and the running ones have finished, so no later job is
-    committed.
+    committed.  Where the platform cannot fork, the jobs run one after
+    another in this process.
     """
-    if len(jobs) == 1:
-        commit(work(*jobs[0]))
+    serial = len(jobs) == 1
+    if not serial:
+        import multiprocessing
+
+        serial = "fork" not in multiprocessing.get_all_start_methods()
+    if serial:
+        for job in jobs:
+            commit(work(*job))
         return
-    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # e.g. macOS: the CPUs of the machine, not those this process may use
+        cpus = os.cpu_count() or 1
+    workers = min(len(jobs), cpus)
     # a forked child flushes the stdio buffers it inherited when it exits: empty them first
     sys.stdout.flush()
     sys.stderr.flush()

@@ -69,8 +69,9 @@ TABLE_LABELS = {
 }
 
 
-# Rows are formatted this many at a time, which bounds the writers'
-# transient memory to a few MiB whatever the length of the trace.
+# Rows are formatted this many at a time, the block of every float column
+# stacked into one matrix, which bounds the writers' transient memory to a
+# few MiB whatever the length of the trace.
 _BLOCK_ROWS = 4096
 # Records are tokenized this many at a time: with 4096 row lists alive, the garbage
 # collector swept the whole heap about once per plotdata of a 60 001-row trace.
@@ -108,7 +109,7 @@ def _micro_ticks(a: np.ndarray) -> np.ndarray:
     ticks = np.rint(scaled).astype(np.int64)
     near_half = np.abs(scaled - np.floor(scaled) - 0.5) <= np.maximum(1e-7, scaled * 1e-15)
     for i in np.flatnonzero(near_half):
-        ticks[i] = int(("%.6f" % a[i]).replace(".", ""))
+        ticks.flat[i] = int(("%.6f" % a.flat[i]).replace(".", ""))
     return ticks
 
 
@@ -127,30 +128,33 @@ def _text_words(texts: Sequence[bytes]) -> np.ndarray:
     return np.array(texts, dtype=f"S{4 * width}").view(np.uint32).reshape(len(texts), width)
 
 
-def _float_words(x: np.ndarray, sep: bytes) -> list[np.ndarray]:
-    """``f"{v:.6f}"`` of every value followed by ``sep`` (NaN: ``sep`` alone), as word columns.
+def _float_words(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """``f"{v:.6f}"`` of every value followed by its column's separator (NaN: the separator alone).
 
-    The sign comes from the sign bit, so ``-0.0`` and ``-1e-9`` print
-    ``-0.000000``.  A column holding a value at or beyond ``_EXACT_LIMIT``
-    (or an infinity) is formatted wholly by Python.
+    ``x`` is a ``(columns, rows)`` block and ``seps`` a ``(columns, 1)``
+    array of words each holding one separator in its last byte; the
+    result is a ``(columns, rows, words)`` word array.  The sign comes
+    from the sign bit, so ``-0.0`` and ``-1e-9`` print ``-0.000000``.  A
+    block holding a value at or beyond ``_EXACT_LIMIT`` (or an infinity)
+    is formatted wholly by Python.
     """
     missing = np.isnan(x)
     a = np.abs(np.where(missing, 0.0, x))
     if not np.all(a < _EXACT_LIMIT):
-        texts = [sep if m else b"%.6f%s" % (v, sep) for v, m in zip(x.tolist(), missing.tolist())]
-        return list(_text_words(texts).T)
+        texts = [b"" if m else b"%.6f" % v for v, m in zip(x.ravel().tolist(), missing.flat)]
+        numbers = _text_words(texts).reshape(*x.shape, -1)
+        return np.concatenate([numbers, np.broadcast_to(seps[:, :, None], (*x.shape, 1))], axis=2)
     whole, frac = np.divmod(_micro_ticks(a), 1_000_000)
     high, low = np.divmod(frac, 1000)
-    sep_word = np.frombuffer(sep.rjust(4, b"\0"), np.uint32)[0]
-    words = [_FRAC_HIGH.take(high), _FRAC_LOW.take(low) | sep_word]
+    words = [_FRAC_HIGH.take(high), _FRAC_LOW.take(low) | seps]
     rest, group = np.divmod(whole, 1000)
     words.insert(0, np.where(rest > 0, _INT_FULL.take(group), _INT_UNITS.take(group)))
     while rest.any():
         rest, group = np.divmod(rest, 1000)
         words.insert(0, np.where(rest > 0, _INT_FULL.take(group), _INT_TOP.take(group)))
     words[0] = words[0] | np.where(np.signbit(x), _MINUS, _NUL)
-    words[-1] = np.where(missing, sep_word, words[-1])
-    return [np.where(missing, _NUL, w) for w in words[:-1]] + words[-1:]
+    words[-1] = np.where(missing, seps, words[-1])
+    return np.stack([np.where(missing, _NUL, w) for w in words[:-1]] + words[-1:], axis=2)
 
 
 def _write_rows(
@@ -165,18 +169,18 @@ def _write_rows(
     are deleted on the way out, so no Python code runs per row.
     """
     seps = [b","] * (len(floats) + len(labels) - 1) + [b"\n"]
+    float_seps = b"".join(sep.rjust(4, b"\0") for sep in seps[: len(floats)])
+    float_seps = np.frombuffer(float_seps, np.uint32).reshape(-1, 1)
     tables = [
         _text_words([text + sep for text in texts])
         for (_, texts), sep in zip(labels, seps[len(floats) :])
     ]
     for start in range(0, floats[0].size, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        words = []
-        for column, sep in zip(floats, seps):
-            words += _float_words(column[block], sep)
-        for (codes, _), table in zip(labels, tables):
-            words += list(table[codes[block]].T)
-        fh.write(np.stack(words, axis=1).tobytes().translate(None, b"\0"))
+        words = _float_words(np.vstack([column[block] for column in floats]), float_seps)
+        rows = [words.transpose(1, 0, 2).reshape(words.shape[1], -1)]
+        rows += [table[codes[block]] for (codes, _), table in zip(labels, tables)]
+        fh.write(np.hstack(rows).tobytes().translate(None, b"\0"))
 
 
 @contextlib.contextmanager

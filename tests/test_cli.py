@@ -409,6 +409,32 @@ class TestCliCommands:
         assert main(["frobnicate"]) == 1
         assert main([]) == 1
 
+    def test_repeated_calls_act_as_fresh_processes(self, sensors_csv, capsys, monkeypatch):
+        """``main`` reuses one parser, which carries nothing from one call to the next."""
+        monkeypatch.setenv("COLUMNS", "80")  # the width of --help
+        env = {**os.environ, "PYTHONPATH": str(Path(crossrisk.simulate.__file__).parents[1])}
+        calls = [
+            ["--threshold", "2", "evaluate"],
+            ["--help"],
+            ["--threshold", "2", "evaluate", "--json", str(sensors_csv)],
+            ["evaluate", "--json", str(sensors_csv)],
+            ["--resample-hz", "50", "ingest", str(sensors_csv)],
+            ["ingest", str(sensors_csv)],
+        ]
+        outputs = []
+        for argv in calls:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "crossrisk", *argv],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert main(argv) == fresh.returncode
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr), argv
+            outputs.append((fresh.returncode, fresh.stdout))
+        assert [code for code, _ in outputs] == [1, 0, 0, 0, 0, 0]
+        # the overrides show, so one left in the parser would change the next call's output
+        assert outputs[2] != outputs[3] and outputs[4] != outputs[5]
+
     def test_fuse_multiple_inputs(self, tmp_path, scenario_file, capsys):
         a, b = tmp_path / "run_a.csv", tmp_path / "run_b.csv"
         assert main(["simulate", str(scenario_file), str(a)]) == 0
@@ -863,6 +889,28 @@ class TestMultipleInputs:
 
     def test_outputs_are_those_of_single_runs(self, tmp_path, recordings, capsys):
         # five inputs on at most two workers: one worker runs several of them
+        self._check_outputs_of_single_runs(tmp_path, recordings, capsys)
+
+    @pytest.mark.parametrize("platform", ["no-sched_getaffinity", "no-fork"])
+    def test_platform_without_affinity_or_fork(
+        self, tmp_path, recordings, capsys, monkeypatch, platform
+    ):
+        if platform == "no-sched_getaffinity":  # e.g. macOS: os.cpu_count() sizes the pool
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:  # e.g. Windows: the inputs run one after another in this process
+            get_context = multiprocessing.get_context
+
+            def no_fork(method=None):
+                if method == "fork":
+                    raise ValueError("cannot find context for 'fork'")
+                return get_context(method)
+
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        self._check_outputs_of_single_runs(tmp_path, recordings, capsys)
+
+    @staticmethod
+    def _check_outputs_of_single_runs(tmp_path, recordings, capsys):
         out = tmp_path / "fused"
         assert main(["fuse", *map(str, recordings), str(out)]) == 0
         err = capsys.readouterr().err

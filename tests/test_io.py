@@ -128,8 +128,10 @@ def oracle_plot_csv(header, columns, threshold) -> str:
 
 
 def formatted(values) -> list[str]:
-    words = _float_words(np.asarray(values, dtype=float), b"\n")
-    return np.stack(words, axis=1).tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+    """``values`` as a one-column block, each cell ended by a newline word."""
+    newline = np.frombuffer(b"\0\0\0\n", np.uint32).reshape(1, 1)
+    words = _float_words(np.asarray(values, dtype=float)[None], newline)
+    return words[0].tobytes().translate(None, b"\0").decode().split("\n")[:-1]
 
 
 special_values = st.one_of(
@@ -139,6 +141,27 @@ special_values = st.one_of(
     st.floats(-1e-5, 1e-5),
     st.sampled_from([0.0, -0.0, -1e-9, 5e-7, -5e-7, 9.9999995, 1e300, -math.inf]),
 )
+
+
+@st.composite
+def float_blocks(draw) -> list[list[float]]:
+    """1-5 equal columns of 1-13 values, each around its own magnitude.
+
+    Sometimes one column is at 1e13, past the exact range, which sends the
+    whole block to Python; the other columns stay within it.
+    """
+    rows = draw(st.integers(1, 13))
+    in_range = special_values.filter(lambda v: abs(v) < EXACT_LIMIT)
+
+    def column(scale):
+        scaled = st.floats(-1.0, 1.0).map(lambda v: v * scale)
+        return st.lists(scaled | in_range | st.just(math.nan), min_size=rows, max_size=rows)
+
+    scales = st.sampled_from([1.0, 1e3, 1e6, 1e9])
+    columns = draw(st.lists(scales.flatmap(column), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(0, len(columns))), draw(column(1e13)))
+    return columns
 
 
 class TestFixedPointFormatter:
@@ -158,6 +181,26 @@ class TestFixedPointFormatter:
     def test_ticks_are_the_printed_number(self, values):
         ticks = _signed_ticks(np.array(values, dtype=float)).tolist()
         assert ticks == [int(f"{v:.6f}".replace(".", "")) for v in values]
+
+    @settings(deadline=None, max_examples=200)
+    @given(block_rows=st.sampled_from([1, 3, 4]), columns=float_blocks())
+    @example(  # 1, 2 and 4 integer digit groups; signed zeros, NaN and ties; rows past 2 blocks
+        block_rows=4,
+        columns=[
+            [0.5, -0.0, 1729000000.25, math.nan, -1e-9, 0.0078125, 12.5, 3.0, 1.0],
+            [-1e-9, 1234.5, math.nan, -0.0, 5e-7, -5e-7, 999.9999995, 1000.0, -0.0234375],
+            [math.nan] * 9,
+        ],
+    )
+    @example(  # one column past the exact range: the block in Python
+        block_rows=3, columns=[[1.5, -2.5e-7, math.nan, 0.1], [EXACT_LIMIT, -1e-9, 2.0, -math.inf]]
+    )
+    def test_blocks_match_fstring(self, block_rows, columns):
+        fh = io.BytesIO()
+        with mock.patch.object(crossrisk.io, "_BLOCK_ROWS", block_rows):
+            crossrisk.io._write_rows(fh, [np.array(c, dtype=float) for c in columns])
+        cells = [line.split(",") for line in fh.getvalue().decode().split("\n")[:-1]]
+        assert cells == [[oracle_field(v) for v in row] for row in zip(*columns)]
 
     def test_long_column_crosses_blocks(self, tmp_path):
         times = np.arange(10_000) / 100.0 - 0.005
@@ -273,7 +316,7 @@ LONG_TRACE = fuse_all(
 )
 
 
-@pytest.mark.parametrize("fail_at", [2, 9], ids=["first-block", "second-block"])
+@pytest.mark.parametrize("fail_at", [1, 2], ids=["first-block", "second-block"])
 def test_failed_write_leaves_the_old_target(tmp_path, monkeypatch, fail_at):
     """A writer that fails part-way leaves the old bytes and no stray file behind."""
     assert LONG_TRACE.grid.count > 4096  # more than one block of rows
@@ -283,7 +326,7 @@ def test_failed_write_leaves_the_old_target(tmp_path, monkeypatch, fail_at):
 
     def failing(*args):
         calls.append(None)
-        if len(calls) == fail_at:  # 8 float columns a block: call 9 opens the second block
+        if len(calls) == fail_at:  # one call a block: call 2 opens the second block
             raise OSError("disk full")
         return _float_words(*args)
 
