@@ -21,7 +21,7 @@ import numpy as np
 
 from . import io as crio
 from .config import RunConfig, load_run_config
-from .fusion import fuse_all, sensor_set_from_streams
+from .fusion import _named, fuse_all, sensor_set_from_streams
 from .metrics import evaluate_run
 from .simulate import load_scenario, simulate_recording
 
@@ -156,8 +156,14 @@ def _fused_trace(path: str, config: RunConfig, warn):
     sensors = _ingest(path, config)
     if sensors.tracker() is None:
         warn(f"warning: {path}: no tracker column; evaluation disabled for this trace")
-    return fuse_all(
-        sensors, config.danger, derivative_smooth_window=config.smooth_window_derivative
+    return _fuse(path, sensors, config)
+
+
+def _fuse(path: str, sensors, config: RunConfig):
+    """``fuse_all`` at the run's settings; its ValueError (an overflow, say) names ``path``."""
+    return _named(
+        path, fuse_all, sensors, config.danger,
+        derivative_smooth_window=config.smooth_window_derivative,
     )
 
 
@@ -233,10 +239,7 @@ def _evaluate_one(path: str, config: RunConfig) -> dict:
     sensors = _ingest(path, config)
     if sensors.tracker() is None:
         raise crio.SensorCsvError(f"{path}: no tracker column, cannot evaluate")
-    trace = fuse_all(
-        sensors, config.danger, derivative_smooth_window=config.smooth_window_derivative
-    )
-    return evaluate_run(trace, config.unknown_as_safe)
+    return evaluate_run(_fuse(path, sensors, config), config.unknown_as_safe)
 
 
 def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:

@@ -120,7 +120,7 @@ def _danger_values(
 ) -> np.ndarray:
     """Vectorized score; NaN inputs yield NaN, negative distances raise."""
     d = np.asarray(distance, dtype=float)
-    if np.any(d[~np.isnan(d)] < 0):
+    if (d < 0).any():  # NaN compares False
         raise ValueError("distance must be non-negative")
     numerator = speed_transform(closing_speed, params) + params.accel_weight * (
         accel_transform(acceleration, params)

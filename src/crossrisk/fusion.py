@@ -114,23 +114,36 @@ def sensor_set_from_streams(
     if unknown:
         raise ValueError(f"unknown sensor ids: {sorted(unknown)}")
     smoothed = [
-        smooth_trailing(streams[s], windows[s]) if windows[s] > 1 else streams[s]
+        _named(f"{s} distance", smooth_trailing, streams[s], windows[s])
+        if windows[s] > 1
+        else streams[s]
         for s in order
     ]
     grid, aligned = align(smoothed, resample_hz, max_gap=max_gap)
     tracks = {
-        s: differentiate(series, grid, smooth_window=derivative_smooth_window)
+        s: _named(s, differentiate, series, grid, smooth_window=derivative_smooth_window)
         for s, series in zip(order, aligned)
     }
     return SensorSet(grid, tracks)
 
 
+def _named(name: str, step, *args, **kwargs):
+    """``step(*args, **kwargs)``; a ValueError from it (an overflow, say) begins with ``name``."""
+    try:
+        return step(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
 def _available_mean(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise mean over non-missing entries (NaN where none) and their count."""
+    """Row-wise mean over non-missing entries (NaN where none) and their count.
+
+    A sum past float64's range gives an infinite mean, for the caller's check to reject.
+    """
     present = ~np.isnan(stacked)
     counts = present.sum(axis=0)
-    sums = np.where(present, stacked, 0.0).sum(axis=0)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.where(present, stacked, 0.0).sum(axis=0)
         return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan), counts
 
 
@@ -151,8 +164,11 @@ def fuse_all(
     if not fusable:
         raise ValueError("no fusable sensors")
     fused_d, available_count = _available_mean(np.vstack([t.distance for t in fusable.values()]))
-    distance_fused = TimeSeries(grid.times(), _frozen(fused_d))
-    fused_track = differentiate(distance_fused, grid, smooth_window=derivative_smooth_window)
+    distance_fused = _named("distance_fusion", TimeSeries, grid.times(), _frozen(fused_d))
+    fused_track = _named(
+        "distance_fusion", differentiate, distance_fused, grid,
+        smooth_window=derivative_smooth_window,
+    )
     g_distance = danger_series(fused_track, params)
     sensor_g = {s: danger_series(t, params) for s, t in sensors.tracks.items()}
     stacked_g = np.vstack([sensor_g[s].values for s in fusable])

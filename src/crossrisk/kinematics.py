@@ -47,7 +47,7 @@ class KinematicTrack:
                 raise ValueError(
                     f"{name} has shape {values.shape}, the track grid needs ({self.grid.count},)"
                 )
-            if np.any(np.isinf(values)):
+            if np.isinf(values).any():
                 raise ValueError(f"{name} must not be infinite")
             object.__setattr__(self, name, values)
 
@@ -99,13 +99,15 @@ def differentiate(
     rate = grid.rate_hz
     speed = np.full(d.size, np.nan)
     accel = np.full(d.size, np.nan)
-    if d.size > 1:
-        speed[1:] = (d[:-1] - d[1:]) * rate
-    if d.size > 2:
-        accel[2:] = (speed[2:] - speed[1:-1]) * rate
-    if smooth_window > 1:
-        speed = _trailing_mean(speed, smooth_window)
-        accel = _trailing_mean(accel, smooth_window)
+    # a derivative past float64's range is infinite, and the track's check rejects it by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        if d.size > 1:
+            speed[1:] = (d[:-1] - d[1:]) * rate
+        if d.size > 2:
+            accel[2:] = (speed[2:] - speed[1:-1]) * rate
+        if smooth_window > 1:
+            speed = _trailing_mean(speed, smooth_window)
+            accel = _trailing_mean(accel, smooth_window)
     return KinematicTrack(grid, d, _frozen(speed), _frozen(accel))
 
 

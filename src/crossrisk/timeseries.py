@@ -73,11 +73,11 @@ class TimeSeries:
             raise ValueError("times and values must be one-dimensional")
         if times.size != values.size:
             raise ValueError("times and values must have equal length")
-        if times.size and not np.all(np.isfinite(times)):
+        if not np.isfinite(times).all():
             raise ValueError("timestamps must be finite")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
+        if not (times[1:] > times[:-1]).all():
             raise ValueError("timestamps must be strictly increasing")
-        if np.any(np.isinf(values)):
+        if np.isinf(values).any():
             raise ValueError("values must not be infinite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
@@ -217,20 +217,26 @@ def smooth_trailing(series: TimeSeries, window: int) -> TimeSeries:
     """
     if window < 1:
         raise ValueError("window must be at least 1")
-    return TimeSeries(series.times, _frozen(_trailing_mean(series.values, window)))
+    with np.errstate(over="ignore"):  # a sum past float64's range fails the series check
+        values = _trailing_mean(series.values, window)
+    return TimeSeries(series.times, _frozen(values))
 
 
 def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
     """Kernel of :func:`smooth_trailing` over a plain array (NaN = missing)."""
     present = ~np.isnan(values)
+    dense = present.all()  # then no reading is missing: no compress and no scatter
+    pv = values if dense else values[present]
+    sums = pv.copy()
+    for k in range(1, min(window, pv.size)):
+        sums[k:] += pv[: pv.size - k]
+    filling = min(window - 1, pv.size)  # the readings before the window first fills
+    sums[filling:] /= window
+    sums[:filling] /= np.arange(1.0, filling + 1)
+    if dense:
+        return sums
     out = np.full(values.size, np.nan)
-    pv = values[present]
-    if pv.size:
-        sums = pv.copy()
-        for k in range(1, min(window, pv.size)):
-            sums[k:] += pv[: pv.size - k]
-        counts = np.minimum(np.arange(1, pv.size + 1), window)
-        out[present] = sums / counts
+    out[present] = sums
     return out
 
 
@@ -259,14 +265,18 @@ def resample(series: TimeSeries, grid: UniformGrid, max_gap: float = 0.5) -> Tim
     # missing sentinel readings at -inf and +inf: every instant lies between two readings
     tp = np.concatenate(([-np.inf], series.times[present], [np.inf]))
     vp = np.concatenate(([np.nan], series.values[present], [np.nan]))
-    # tp[hi], the first reading at most the slack early: the instant's own, or its right neighbour
-    hi = np.searchsorted(tp, target - grid.slack)
-    t_lo, t_hi = tp[hi - 1], tp[hi]
+    # tp[hi], the first reading at most the slack early: the instant's own, or its right neighbour.
+    # hi counts the readings more than the slack early; each reading is placed on the grid once
+    hi = np.bincount(
+        np.searchsorted(target - grid.slack, tp, side="right"), minlength=grid.count + 1
+    )[:-1].cumsum()
+    lo = hi - 1
+    t_lo, t_hi, v_hi = tp[lo], tp[hi], vp[hi]
     gap = t_hi - t_lo
     with np.errstate(invalid="ignore"):  # inf / inf next to the -inf sentinel: missing
         w = (target - t_lo) / gap
-        val = vp[hi - 1] * (1.0 - w) + vp[hi] * w
-    out = np.where(t_hi - target <= grid.slack, vp[hi], np.where(gap <= max_gap, val, np.nan))
+        val = vp[lo] * (1.0 - w) + v_hi * w
+    out = np.where(t_hi - target <= grid.slack, v_hi, np.where(gap <= max_gap, val, np.nan))
     return TimeSeries(target, _frozen(out))
 
 

@@ -389,6 +389,50 @@ class TestCliCommands:
             assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("warnings", [None, "error"])
+    def test_overflowing_derivative_is_data_error(self, tmp_path, warnings):
+        # a 1e308 m jump in one grid step: the speed leaves float64's range.  It used to print
+        # numpy's RuntimeWarnings and a message naming no sensor, or a traceback (exit 3)
+        rows = [f"{k / 100:.2f},2.0,{'1e308' if k == 20 else '2.0'},2.0,2.0" for k in range(40)]
+        recording = tmp_path / "huge.csv"
+        recording.write_text(SENSOR_HEADER + "\n".join(rows) + "\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(crossrisk.simulate.__file__).parents[1])}
+        env.pop("PYTHONWARNINGS", None)
+        if warnings is not None:
+            env["PYTHONWARNINGS"] = warnings
+        out = tmp_path / "fused.csv"
+        for command in ("ingest", "fuse", "evaluate"):
+            argv = [command, str(recording)] + ([str(out)] if command == "fuse" else [])
+            proc = subprocess.run(
+                [sys.executable, "-m", "crossrisk", *argv],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert (proc.returncode, proc.stdout) == (2, ""), argv
+            assert proc.stderr == f"error: {recording}: camera_aw: speed must not be infinite\n"
+        assert not out.exists()
+
+    def test_overflowing_fused_distance_is_data_error(self, tmp_path, capsys):
+        # no sensor overflows alone, but where the camera drops out the fused distance jumps
+        # from 4e307 to 8e307 m in one step; with no smoothing, 1.2e308 + 1.2e308 overflows
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"smooth_window_rsu": 1, "smooth_window_camera": 1}))
+        cases = {
+            "jump.csv": ("{:.2f},8e307,{},,2.0", "speed"),
+            "sum.csv": ("{:.2f},1.2e308,2.0,1.2e308,2.0", "values"),
+        }
+        for name, (row, series) in cases.items():
+            rows = [row.format(k / 100, "" if 20 <= k <= 80 else "2.0") for k in range(100)]
+            recording = tmp_path / name
+            recording.write_text(SENSOR_HEADER + "\n".join(rows) + "\n")
+            assert main(["--config", str(config), "ingest", str(recording)]) == 0
+            capsys.readouterr()
+            for command in ("fuse", "evaluate"):
+                argv = [command, str(recording)] + ([str(tmp_path / "f.csv")] * (command == "fuse"))
+                assert main(["--config", str(config), *argv]) == 2
+                assert capsys.readouterr().err == (
+                    f"error: {recording}: distance_fusion: {series} must not be infinite\n"
+                )
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["fuse", str(tmp_path / "nope.csv"), str(tmp_path / "out.csv")]) == 2
 

@@ -28,8 +28,14 @@ class TestTimeSeries:
         assert s.present.tolist() == [True, False, True]
 
     def test_rejects_non_monotone_timestamps(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            TimeSeries(np.array([0.0, 1.0, 1.0]), np.zeros(3))
+        for times in ([0.0, 1.0, 1.0], [2.0, 2.0], [0.0, -0.0], [1.0, 0.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                TimeSeries(np.array(times), np.zeros(len(times)))
+
+    @pytest.mark.parametrize("times", [[], [7.0], [0.0, 5e-324], [-0.0, 5e-324, 1.0]])
+    def test_accepts_increasing_timestamps(self, times):
+        """The smallest step above zero is increasing; an empty or one-reading series is too."""
+        assert len(TimeSeries(np.array(times), np.zeros(len(times)))) == len(times)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -81,6 +87,36 @@ class TestUniformGrid:
         (field,) = kwargs
         with pytest.raises(ValueError, match=field):
             UniformGrid(**{"start": 0.0, "rate_hz": 10.0, "count": 3, **kwargs})
+
+
+def trailing_mean_oracle(values, window):
+    """The last ``window`` present readings summed newest first, over how many there are."""
+    out, present = [], []
+    for v in values:
+        if np.isnan(v):
+            out.append(np.nan)
+            continue
+        present.append(float(v))
+        newest_first = present[-window:][::-1]
+        total = newest_first[0]
+        for x in newest_first[1:]:
+            total += x
+        out.append(total / len(newest_first))
+    return np.array(out, dtype=float)
+
+
+@st.composite
+def channels_and_windows(draw):
+    """A channel with nothing missing, everything missing or NaN runs, and a window."""
+    kind = draw(st.sampled_from(["dense", "all missing", "runs"]))
+    size = draw(st.integers(0, 30))
+    values = []
+    while len(values) < size:
+        missing = kind == "all missing" or (kind == "runs" and draw(st.booleans()))
+        values += [np.nan if missing else draw(st.floats(-1e6, 1e6)) for _ in range(draw(
+            st.integers(1, 5)))]
+    window = draw(st.integers(1, 12))  # up to past the count of present readings
+    return np.array(values[:size], dtype=float), window
 
 
 class TestSmoothTrailing:
@@ -138,6 +174,17 @@ class TestSmoothTrailing:
             expected = np.mean(recent[-window:])
             assert out.values[i] == pytest.approx(expected, abs=1e-12)
 
+    @settings(deadline=None, max_examples=300)
+    @given(case=channels_and_windows())
+    @example(case=(np.array([1.0, 2.0, 4.0]), 1))
+    @example(case=(np.array([1.0, np.nan, 2.0, 4.0]), 9))
+    @example(case=(np.full(4, np.nan), 3))
+    def test_matches_the_oracle_bit_for_bit(self, case):
+        values, window = case
+        got = smooth_trailing(series_on_grid(values), window).values
+        want = trailing_mean_oracle(values, window)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
 
 def retired_resample(series, grid, max_gap):
     """The oracle: the values of the resample that indexed hits and gaps apart.
@@ -184,9 +231,29 @@ def series_and_grids(draw):
     return series, grid, max_gap
 
 
+# a reading exactly the slack before an instant: the instant's search point ties with it.  Near
+# 1.6e9 s the slack is four float64 spacings, so the subtraction is exact and the reading is
+# within the slack as the oracle computes it too; one spacing earlier, it is not
+_TIE_GRID = UniformGrid(1.6e9, 100.0, 4)
+_TIE = _TIE_GRID.times()[1] - _TIE_GRID.slack
+_TIE_READINGS = [_TIE_GRID.start, _TIE, _TIE_GRID.end]
+_EARLY_READINGS = [_TIE_GRID.start, np.nextafter(_TIE, -np.inf), _TIE_GRID.end]
+
+
 class TestResample:
     @settings(deadline=None, max_examples=300)
     @given(case=series_and_grids())
+    @example(case=(TimeSeries(_TIE_READINGS, [1.0, 2.0, 3.0]), _TIE_GRID, 0.05))
+    @example(case=(TimeSeries(_TIE_READINGS, [1.0, np.nan, 3.0]), _TIE_GRID, 0.05))
+    @example(case=(TimeSeries(_EARLY_READINGS, [1.0, 2.0, 3.0]), _TIE_GRID, 0.05))
+    # readings before the grid's start and after its end
+    @example(
+        case=(TimeSeries([0.5, 0.95, 1.22, 1.6, 2.0], [1.0, 2.0, 3.0, 4.0, 5.0]),
+              UniformGrid(1.0, 10.0, 5), 0.5)
+    )
+    # a one-instant grid, between two readings and on one
+    @example(case=(TimeSeries([0.1, 0.2, 0.5], [1.0, 2.0, 3.0]), UniformGrid(0.3, 10.0, 1), 0.5))
+    @example(case=(TimeSeries([0.1, 0.2, 0.5], [1.0, 2.0, 3.0]), UniformGrid(0.2, 10.0, 1), 0.5))
     # the reading at 3 * 0.1 lies one float64 spacing past the last instant, 3 / 10; alone, it is
     # also the whole series span, which the grid overlaps only by the slack
     @example(case=(TimeSeries(np.array([0, 3]) * 0.1, [1.0, 2.0]), UniformGrid(0.0, 10.0, 4), 0.1))
