@@ -80,17 +80,16 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _ingest(path: str, config: RunConfig):
-    try:
-        return sensor_set_from_streams(
-            crio.read_sensor_csv(path),
-            resample_hz=config.resample_hz,
-            smooth_window_rsu=config.smooth_window_rsu,
-            smooth_window_camera=config.smooth_window_camera,
-            derivative_smooth_window=config.smooth_window_derivative,
-            max_gap=config.max_gap_s,
-        )
-    except ValueError as exc:  # name the input: with several, it says which one failed
-        raise ValueError(f"{path}: {exc}") from exc
+    # a ValueError names the input: with several, it says which one failed
+    streams = _named(path, crio.read_sensor_csv, path)
+    return _named(
+        path, sensor_set_from_streams, streams,
+        resample_hz=config.resample_hz,
+        smooth_window_rsu=config.smooth_window_rsu,
+        smooth_window_camera=config.smooth_window_camera,
+        derivative_smooth_window=config.smooth_window_derivative,
+        max_gap=config.max_gap_s,
+    )
 
 
 def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
@@ -265,10 +264,7 @@ def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_plotdata(args: argparse.Namespace, config: RunConfig) -> int:
-    try:
-        crio.plot_csv(args.input, args.output, threshold=config.danger.threshold)
-    except ValueError as exc:  # name the input, as for a recording
-        raise ValueError(f"{args.input}: {exc}") from exc
+    _named(args.input, crio.plot_csv, args.input, args.output, threshold=config.danger.threshold)
     return 0
 
 

@@ -122,10 +122,11 @@ def _danger_values(
     d = np.asarray(distance, dtype=float)
     if (d < 0).any():  # NaN compares False
         raise ValueError("distance must be non-negative")
-    numerator = speed_transform(closing_speed, params) + params.accel_weight * (
-        accel_transform(acceleration, params)
-    )
-    with np.errstate(invalid="ignore"):
+    # a finite speed or acceleration too large to scale saturates: clip takes the infinity
+    with np.errstate(over="ignore", invalid="ignore"):
+        numerator = speed_transform(closing_speed, params) + params.accel_weight * (
+            accel_transform(acceleration, params)
+        )
         denominator = np.maximum(
             np.log(d + params.distance_offset), params.denominator_floor
         )

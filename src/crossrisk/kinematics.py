@@ -105,9 +105,9 @@ def differentiate(
             speed[1:] = (d[:-1] - d[1:]) * rate
         if d.size > 2:
             accel[2:] = (speed[2:] - speed[1:-1]) * rate
-        if smooth_window > 1:
-            speed = _trailing_mean(speed, smooth_window)
-            accel = _trailing_mean(accel, smooth_window)
+    if smooth_window > 1:
+        speed = _trailing_mean(speed, smooth_window)
+        accel = _trailing_mean(accel, smooth_window)
     return KinematicTrack(grid, d, _frozen(speed), _frozen(accel))
 
 

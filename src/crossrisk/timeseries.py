@@ -217,24 +217,27 @@ def smooth_trailing(series: TimeSeries, window: int) -> TimeSeries:
     """
     if window < 1:
         raise ValueError("window must be at least 1")
-    with np.errstate(over="ignore"):  # a sum past float64's range fails the series check
-        values = _trailing_mean(series.values, window)
-    return TimeSeries(series.times, _frozen(values))
+    return TimeSeries(series.times, _frozen(_trailing_mean(series.values, window)))
 
 
 def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
-    """Kernel of :func:`smooth_trailing` over a plain array (NaN = missing)."""
-    present = ~np.isnan(values)
-    dense = present.all()  # then no reading is missing: no compress and no scatter
-    pv = values if dense else values[present]
+    """Kernel of :func:`smooth_trailing` over a plain array (NaN = missing).
+
+    A sum past float64's range gives an infinite mean, for the caller's check to reject.
+    """
+    missing = np.isnan(values)
+    gaps = np.flatnonzero(missing)
+    # with only a leading run missing (a derivative's first instants), the readings are a slice
+    leading = not gaps.size or gaps[-1] == gaps.size - 1
+    present = slice(gaps.size, None) if leading else ~missing
+    pv = values[present]
     sums = pv.copy()
-    for k in range(1, min(window, pv.size)):
-        sums[k:] += pv[: pv.size - k]
-    filling = min(window - 1, pv.size)  # the readings before the window first fills
-    sums[filling:] /= window
-    sums[:filling] /= np.arange(1.0, filling + 1)
-    if dense:
-        return sums
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, min(window, pv.size)):
+            sums[k:] += pv[: pv.size - k]
+        filling = min(window - 1, pv.size)  # the readings before the window first fills
+        sums[filling:] /= window
+        sums[:filling] /= np.arange(1.0, filling + 1)
     out = np.full(values.size, np.nan)
     out[present] = sums
     return out

@@ -410,6 +410,21 @@ class TestCliCommands:
             assert (proc.returncode, proc.stdout) == (2, ""), argv
             assert proc.stderr == f"error: {recording}: camera_aw: speed must not be infinite\n"
         assert not out.exists()
+        # a distance falling steadily by 1.08e306 m per step: the speed, 1.08e308 m/s, stays
+        # finite and the score saturates, with no warning (the scaled speed used to overflow)
+        rows = [f"{k / 100:.2f},2.0,{3.5e307 - 1.08e306 * k!r},2.0,2.0" for k in range(30)]
+        recording.write_text(SENSOR_HEADER + "\n".join(rows) + "\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"smooth_window_camera": 1, "smooth_window_derivative": 1}))
+        for command in ("fuse", "evaluate"):
+            argv = ["--config", str(config), command, str(recording)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "crossrisk", *argv] + [str(out)] * (command == "fuse"),
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+        saturated = 1 / np.log(3.5e307 - 1.08e306 * 2 + 0.6)  # speed term 1, acceleration 0
+        assert out.read_text().splitlines()[3].split(",")[2] == f"{saturated:.6f}"
 
     def test_overflowing_fused_distance_is_data_error(self, tmp_path, capsys):
         # no sensor overflows alone, but where the camera drops out the fused distance jumps

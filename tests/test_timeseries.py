@@ -107,12 +107,17 @@ def trailing_mean_oracle(values, window):
 
 @st.composite
 def channels_and_windows(draw):
-    """A channel with nothing missing, everything missing or NaN runs, and a window."""
-    kind = draw(st.sampled_from(["dense", "all missing", "runs"]))
+    """A channel with nothing missing, only a leading run missing (as a derivative's first
+    instants), everything missing or NaN runs, and a window."""
+    kind = draw(st.sampled_from(["dense", "leading run", "all missing", "runs"]))
     size = draw(st.integers(0, 30))
     values = []
     while len(values) < size:
-        missing = kind == "all missing" or (kind == "runs" and draw(st.booleans()))
+        missing = (
+            kind == "all missing"
+            or (kind == "leading run" and not values)
+            or (kind == "runs" and draw(st.booleans()))
+        )
         values += [np.nan if missing else draw(st.floats(-1e6, 1e6)) for _ in range(draw(
             st.integers(1, 5)))]
     window = draw(st.integers(1, 12))  # up to past the count of present readings
@@ -179,6 +184,7 @@ class TestSmoothTrailing:
     @example(case=(np.array([1.0, 2.0, 4.0]), 1))
     @example(case=(np.array([1.0, np.nan, 2.0, 4.0]), 9))
     @example(case=(np.full(4, np.nan), 3))
+    @example(case=(np.array([np.nan, np.nan, 1.0, 2.0, 4.0]), 3))
     def test_matches_the_oracle_bit_for_bit(self, case):
         values, window = case
         got = smooth_trailing(series_on_grid(values), window).values
