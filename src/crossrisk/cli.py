@@ -12,7 +12,6 @@ import dataclasses
 import functools
 import json
 import os
-import shutil
 import sys
 import traceback
 from pathlib import Path
@@ -112,32 +111,38 @@ def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def _run_inputs(work, jobs: list[tuple], commit) -> None:
-    """Call ``commit(work(*job))`` for each job, in job order.
+def _workers(jobs: int) -> int:
+    """Processes to run ``jobs`` on: one per usable CPU at most, and only this one for one
+    job, with one usable CPU or where the platform cannot fork (Windows, for one)."""
+    if jobs == 1:
+        return 1
+    import multiprocessing
 
-    Several jobs run on forked worker processes, one per usable CPU at
-    most, and ``commit`` still sees their results in job order.  The
-    first exception in job order propagates once the queued jobs are
-    cancelled and the running ones have finished, so no later job is
-    committed.  Where the platform cannot fork, the jobs run one after
-    another in this process.
-    """
-    serial = len(jobs) == 1
-    if not serial:
-        import multiprocessing
-
-        serial = "fork" not in multiprocessing.get_all_start_methods()
-    if serial:
-        for job in jobs:
-            commit(work(*job))
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # e.g. macOS: the CPUs of the machine, not those this process may use
         cpus = os.cpu_count() or 1
-    workers = min(len(jobs), cpus)
+    return min(jobs, cpus)
+
+
+def _run_inputs(work, jobs: list[tuple], commit, workers: int) -> None:
+    """Call ``commit(work(*job))`` for each job, in job order.
+
+    One worker is this process: the jobs run one after another.  More
+    are forked processes, and ``commit`` still sees their results in job
+    order.  The first exception in job order propagates once the queued
+    jobs are cancelled and the running ones have finished, so no later
+    job is committed.
+    """
+    if workers == 1:
+        for job in jobs:
+            commit(work(*job))
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # a forked child flushes the stdio buffers it inherited when it exits: empty them first
     sys.stdout.flush()
     sys.stderr.flush()
@@ -150,14 +155,6 @@ def _run_inputs(work, jobs: list[tuple], commit) -> None:
         pool.shutdown(cancel_futures=True)
 
 
-def _fused_trace(path: str, config: RunConfig, warn):
-    """The fusion trace of one recording; ``warn`` gets each warning about it."""
-    sensors = _ingest(path, config)
-    if sensors.tracker() is None:
-        warn(f"warning: {path}: no tracker column; evaluation disabled for this trace")
-    return _fuse(path, sensors, config)
-
-
 def _fuse(path: str, sensors, config: RunConfig):
     """``fuse_all`` at the run's settings; its ValueError (an overflow, say) names ``path``."""
     return _named(
@@ -166,61 +163,62 @@ def _fuse(path: str, sensors, config: RunConfig):
     )
 
 
-def _warn(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
-def _fuse_part(path: str, part: Path, config: RunConfig) -> list[str]:
-    """Write the trace of ``path`` to ``part``; returns the warnings about it."""
-    warnings: list[str] = []
-    trace = _fused_trace(path, config, warnings.append)
-    crio.write_fused_csv(part, trace, trace.sensor_g)
+def _fuse_one(path: str, output: Path, config: RunConfig) -> list[str]:
+    """Write the trace of ``path`` to ``output``; returns the warnings about ``path``."""
+    sensors = _ingest(path, config)
+    warnings = []
+    if sensors.tracker() is None:
+        warnings.append(f"warning: {path}: no tracker column; evaluation disabled for this trace")
+    trace = _fuse(path, sensors, config)
+    crio.write_fused_csv(output, trace, trace.sensor_g)
     return warnings
 
 
 def cmd_fuse(args: argparse.Namespace, config: RunConfig) -> int:
     out = Path(args.output)
-    if len(args.inputs) == 1:  # streamed to the file, with no pool
-        trace = _fused_trace(args.inputs[0], config, _warn)
-        crio.write_fused_csv(out, trace, trace.sensor_g)
-        return 0
-    stems = [Path(p).stem for p in args.inputs]
-    clashing = [p for p, stem in zip(args.inputs, stems) if stems.count(stem) > 1]
-    if clashing:
-        print(
-            f"error: inputs {', '.join(clashing)} share a file stem, so their "
-            f"fused traces in {out} would overwrite each other",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
-    targets = [out / f"{stem}_fused.csv" for stem in stems]
-    clobbered = [
-        (source, target, path)
-        for source, target in zip(args.inputs, targets)
-        for path in args.inputs
-        if _same_file(path, target)
-    ]
-    if clobbered:  # checked before any input is read, as workers read them in no fixed order
-        print(
-            "error: the fused trace of %s, %s, would overwrite the input %s" % clobbered[0],
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
-    out.mkdir(parents=True, exist_ok=True)
-    # each worker writes a trace beside its target; they replace the targets in input order
-    parts = [out / f".{target.name}.{os.getpid()}.part" for target in targets]
+    targets = [out]
+    if len(args.inputs) > 1:
+        stems = [Path(p).stem for p in args.inputs]
+        clashing = [p for p, stem in zip(args.inputs, stems) if stems.count(stem) > 1]
+        if clashing:
+            print(
+                f"error: inputs {', '.join(clashing)} share a file stem, so their "
+                f"fused traces in {out} would overwrite each other",
+                file=sys.stderr,
+            )
+            return USAGE_ERROR
+        targets = [out / f"{stem}_fused.csv" for stem in stems]
+        clobbered = [
+            (source, target, path)
+            for source, target in zip(args.inputs, targets)
+            for path in args.inputs
+            if _same_file(path, target)
+        ]
+        if clobbered:  # checked before any input is read, as workers read them in no fixed order
+            print(
+                "error: the fused trace of %s, %s, would overwrite the input %s" % clobbered[0],
+                file=sys.stderr,
+            )
+            return USAGE_ERROR
+        out.mkdir(parents=True, exist_ok=True)
+    workers = _workers(len(targets))
+    # this process writes each target itself; a worker writes a part beside the target's real
+    # path, so that the part is renamed over its target, in input order
+    parts = [
+        Path(os.path.realpath(target)).with_name(f".{target.name}.{os.getpid()}.part")
+        for target in targets
+    ] if workers > 1 else []
     uncommitted = zip(parts, targets)
 
     def commit(warnings: list[str]) -> None:
-        part, target = next(uncommitted)
         for warning in warnings:
-            _warn(warning)
-        with open(part, "rb") as src, crio._replacing(target) as fh:
-            shutil.copyfileobj(src, fh)
-        part.unlink()
+            print(warning, file=sys.stderr)
+        if parts:
+            crio._move_over(*next(uncommitted))
 
+    jobs = [(path, output, config) for path, output in zip(args.inputs, parts or targets)]
     try:
-        _run_inputs(_fuse_part, [(p, part, config) for p, part in zip(args.inputs, parts)], commit)
+        _run_inputs(_fuse_one, jobs, commit, workers)
     finally:  # the parts of the inputs after a failing one
         for part in parts:
             part.unlink(missing_ok=True)
@@ -244,8 +242,9 @@ def _evaluate_one(path: str, config: RunConfig) -> dict:
 def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
     """Print the reports of every input; on a failing input, those finished before it."""
     results = []
+    jobs = [(path, config) for path in args.inputs]
     try:
-        _run_inputs(_evaluate_one, [(path, config) for path in args.inputs], results.append)
+        _run_inputs(_evaluate_one, jobs, results.append, _workers(len(jobs)))
     finally:
         if results and args.json and len(args.inputs) == 1:
             sys.stdout.write(crio.reports_to_json(results[0]))

@@ -197,9 +197,8 @@ def _replacing(path: str | Path, mode: str = "wb", **open_kwargs):
         with open(path, mode, **open_kwargs) as fh:
             yield fh
         return
-    # replace a symlink's target, not the link
-    target = os.path.realpath(path) if os.path.islink(path) else os.fspath(path)
-    directory, name = os.path.split(target)
+    # realpath only for a link: it costs a system call for each part of the path
+    directory, name = os.path.split(os.path.realpath(path) if os.path.islink(path) else path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         fh = open(tmp, mode, **open_kwargs)  # created as open() creates the target
@@ -208,12 +207,21 @@ def _replacing(path: str | Path, mode: str = "wb", **open_kwargs):
     try:
         with fh:
             yield fh
-            if old is not None and old.st_mode != os.fstat(fh.fileno()).st_mode:
-                os.chmod(tmp, stat.S_IMODE(old.st_mode))  # the mode open() would have kept
-        os.replace(tmp, target)
+        _move_over(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _move_over(source: str | Path, path: str | Path) -> None:
+    """Rename ``source`` over ``path``, a symlink's target rather than the link, keeping its mode."""
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    with contextlib.suppress(FileNotFoundError):  # a new file keeps the mode open() gave it
+        os.chmod(source, stat.S_IMODE(os.stat(target).st_mode))
+    try:
+        os.replace(source, target)
+    except OSError as exc:  # a directory in the way, say: name the output, not the moved file
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
 
 
 def _parse_column(cells: Sequence[str]) -> np.ndarray:

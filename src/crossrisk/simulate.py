@@ -126,37 +126,25 @@ class ScenarioConfig:
         object.__setattr__(self, "segments", segments)
 
 
-def _build_phases(config: ScenarioConfig) -> list[tuple[float, float, float, float]]:
-    """The motion as closed-form ``(start, distance, speed, accel)`` phases, stops inserted."""
+def _build_phases(config: ScenarioConfig) -> list[tuple[float, float, float, float, float]]:
+    """The motion as closed-form ``(start, distance, speed, accel, stop)`` rows, one a segment.
+
+    ``stop`` is the time after ``start`` at which a braking segment comes to rest, infinite
+    for one that does not brake: the obstacle stays where it stopped.
+    """
     phases = []
     t = 0.0
     d = config.initial_distance
     v = config.initial_speed
-    for seg_duration, accel in config.segments:
-        t_end = t + seg_duration
-        while t < t_end - 1e-12:
-            if v <= 0.0 and accel <= 0.0:
-                # stopped and not restarting within this segment
-                phases.append((t, d, 0.0, 0.0))
-                v = 0.0
-                t = t_end
-            elif accel < 0.0 and v + accel * (t_end - t) < 0.0:
-                stop = v / -accel
-                phases.append((t, d, v, accel))
-                d -= v * stop + 0.5 * accel * stop * stop
-                v = 0.0
-                t += stop
-            else:
-                span = t_end - t
-                phases.append((t, d, max(v, 0.0), accel))
-                d -= max(v, 0.0) * span + 0.5 * accel * span * span
-                v = max(v, 0.0) + accel * span
-                t = t_end
-        if t_end >= config.duration:
+    for span, accel in config.segments:
+        stop = v / -accel if accel < 0.0 else np.inf
+        tau = min(span, stop)
+        phases.append((t, d, v, accel, stop))
+        d -= v * tau + 0.5 * accel * tau * tau
+        v = v + accel * span if span < stop else 0.0
+        t += span
+        if t >= config.duration:
             break
-    if not phases:  # every segment is shorter than the loop's tolerance: the state at t = 0
-        accel = config.segments[0][1]
-        phases.append((0.0, d, v, accel if v > 0.0 or accel > 0.0 else 0.0))
     return phases
 
 
@@ -164,13 +152,14 @@ def _truth_state(
     config: ScenarioConfig, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form distance, closing speed and acceleration at ``times``."""
-    starts, d0, v0, a = np.array(_build_phases(config)).T
+    starts, d0, v0, a, stop = np.array(_build_phases(config)).T
     idx = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, starts.size - 1)
-    d0, v0, a = d0[idx], v0[idx], a[idx]
-    tau = times - starts[idx]
+    d0, v0, a, stop = d0[idx], v0[idx], a[idx], stop[idx]
+    elapsed = times - starts[idx]
+    tau = np.minimum(elapsed, stop)
     distance = d0 - (v0 * tau + 0.5 * a * tau * tau)
-    speed = v0 + a * tau
-    return distance, speed, a
+    moving = elapsed < stop
+    return distance, np.where(moving, v0 + a * elapsed, 0.0), np.where(moving, a, 0.0)
 
 
 def generate_truth(config: ScenarioConfig) -> KinematicTrack:

@@ -246,7 +246,9 @@ def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
 def resample(series: TimeSeries, grid: UniformGrid, max_gap: float = 0.5) -> TimeSeries:
     """Linearly interpolate a series onto a uniform grid.
 
-    An instant within the grid's slack of a present reading takes it.  Any
+    An instant ``t`` takes the first present reading ``tp`` with
+    ``tp >= fl(t - slack)`` when ``fl(tp - t) <= slack``, where ``slack`` is
+    the grid's and ``fl`` rounds each difference to float64 once.  Any
     other instant interpolates its two neighbouring present readings if
     they are at most ``max_gap`` seconds apart and is missing otherwise
     (so before the first and after the last); outages are not bridged.

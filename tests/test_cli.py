@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import dataclasses
 import io
@@ -21,6 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossrisk.cli
+import crossrisk.io
 import crossrisk.simulate
 from crossrisk import (
     CameraSensorModel,
@@ -950,13 +953,15 @@ class TestMultipleInputs:
         # five inputs on at most two workers: one worker runs several of them
         self._check_outputs_of_single_runs(tmp_path, recordings, capsys)
 
-    @pytest.mark.parametrize("platform", ["no-sched_getaffinity", "no-fork"])
+    @pytest.mark.parametrize("platform", ["no-sched_getaffinity", "no-fork", "one-cpu"])
     def test_platform_without_affinity_or_fork(
         self, tmp_path, recordings, capsys, monkeypatch, platform
     ):
         if platform == "no-sched_getaffinity":  # e.g. macOS: os.cpu_count() sizes the pool
             monkeypatch.delattr(os, "sched_getaffinity")
-        else:  # e.g. Windows: the inputs run one after another in this process
+            self._check_outputs_of_single_runs(tmp_path, recordings, capsys)
+            return
+        if platform == "no-fork":  # e.g. Windows
             get_context = multiprocessing.get_context
 
             def no_fork(method=None):
@@ -966,7 +971,76 @@ class TestMultipleInputs:
 
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
             monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        else:  # e.g. under taskset -c 0
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+        # the inputs run one after another in this process, each writing its own target
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        outputs = []
+        fuse_one = crossrisk.cli._fuse_one
+
+        def recording_fuse_one(path, output, config):
+            outputs.append(output)
+            return fuse_one(path, output, config)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(crossrisk.cli, "_fuse_one", recording_fuse_one)
         self._check_outputs_of_single_runs(tmp_path, recordings, capsys)
+        out = tmp_path / "fused"
+        assert outputs[: len(recordings)] == [out / f"{p.stem}_fused.csv" for p in recordings]
+
+    def test_worker_trace_is_moved_over_its_target(self, tmp_path, recordings, monkeypatch):
+        # two usable CPUs, whatever this machine has: the traces come from forked workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        moved = []
+        move_over = crossrisk.io._move_over
+
+        def recording_move_over(source, path):
+            moved.append(Path(source).parent)
+            move_over(source, path)
+
+        monkeypatch.setattr(crossrisk.io, "_move_over", recording_move_over)
+        out, elsewhere = tmp_path / "fused", tmp_path / "elsewhere"
+        out.mkdir()
+        elsewhere.mkdir()
+        private = out / "a_fused.csv"
+        private.write_bytes(b"old trace\n")
+        private.chmod(0o600)
+        pointed = elsewhere / "b_trace.csv"
+        pointed.write_bytes(b"old trace\n")
+        (out / "b_fused.csv").symlink_to(pointed)
+        traces = [private, pointed, out / "c_fused.csv"]
+
+        def clean(directory: Path) -> bool:  # no part or temporary file left behind
+            return not [p for p in directory.iterdir() if p.name.startswith(".")]
+
+        assert main(["fuse", *map(str, recordings[:3]), str(out)]) == 0
+        # each part was written beside the file it replaces: the link's target, not the link
+        assert moved == [out, elsewhere, out]
+        assert private.stat().st_mode & 0o777 == 0o600
+        assert (out / "b_fused.csv").is_symlink()
+        assert clean(out) and clean(elsewhere)
+        for path, trace in zip(recordings, traces):
+            single = tmp_path / f"{path.stem}_single.csv"
+            assert main(["fuse", str(path), str(single)]) == 0
+            assert trace.read_bytes() == single.read_bytes()
+
+        bad = str(self._bad(tmp_path / "bad.csv"))
+        assert main(["fuse", str(recordings[0]), bad, *map(str, recordings[1:3]), str(out)]) == 2
+        assert clean(out) and clean(elsewhere)
+        assert sorted(p.name for p in out.iterdir()) == [f"{c}_fused.csv" for c in "abc"]
+
+    def test_directory_in_the_way_of_a_trace_is_named(
+        self, tmp_path, recordings, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "fused"
+        (out / "a_fused.csv").mkdir(parents=True)
+        assert main(["fuse", *map(str, recordings[:2]), str(out)]) == 2
+        assert capsys.readouterr().err.endswith(f"Is a directory: '{out / 'a_fused.csv'}'\n")
+        assert [p.name for p in out.iterdir()] == ["a_fused.csv"]
 
     @staticmethod
     def _check_outputs_of_single_runs(tmp_path, recordings, capsys):
@@ -1062,16 +1136,20 @@ class TestMultipleInputs:
         assert proc.stdout.count("<buffered>") == 1
         assert proc.stdout.count("Range sensors") == len(tracked)
 
-    def test_importing_the_cli_starts_no_process_machinery(self):
-        script = (
-            "import sys, crossrisk.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
-        )
+    def test_importing_the_cli_starts_no_process_machinery(self, tmp_path, recordings):
+        # neither does a one-input fuse: it writes its trace in the command's own process
+        fuse = ["fuse", str(recordings[0]), str(tmp_path / "a_fused.csv")]
         env = {**os.environ, "PYTHONPATH": str(Path(crossrisk.simulate.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert proc.stdout == "[]\n", proc.stderr
+        for call in ["", f"assert crossrisk.cli.main({fuse!r}) == 0; "]:
+            script = (
+                f"import sys, crossrisk.cli; {call}"
+                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+            )
+            assert proc.stdout == "[]\n", proc.stderr
+        assert (tmp_path / "a_fused.csv").stat().st_size > 0
 
 
 @settings(deadline=None, max_examples=15)

@@ -125,7 +125,7 @@ class TestGenerateTruth:
     def test_segments_under_the_phase_tolerance_give_the_state_at_zero(
         self, speed, accel, expected
     ):
-        # every segment is shorter than 1e-12 s, so the phase loop emits nothing
+        # segments far shorter than a truth step: the one instant, t = 0, is the initial state
         config = ScenarioConfig(1e-10, 4.0, speed, ((1e-13, accel), (1e-13, 2.0)))
         truth = generate_truth(config)
         assert truth.grid.count == 1

@@ -195,7 +195,8 @@ class TestSmoothTrailing:
 def retired_resample(series, grid, max_gap):
     """The oracle: the values of the resample that indexed hits and gaps apart.
 
-    A grid instant within the grid's slack of a present reading takes the first such reading.
+    A grid instant ``t`` takes the first present reading ``tp`` with ``tp >= fl(t - slack)``
+    and ``fl(tp - t) <= slack``, each difference rounded once, as ``resample`` states it.
     """
     target = grid.times()
     out = np.full(grid.count, np.nan)
@@ -203,7 +204,7 @@ def retired_resample(series, grid, max_gap):
     vp = series.values[series.present]
     if tp.size == 0:
         return out
-    near = np.abs(tp[:, None] - target) <= grid.slack
+    near = (tp[:, None] >= target - grid.slack) & (tp[:, None] - target <= grid.slack)
     hit = near.any(axis=0)
     out[hit] = vp[near.argmax(axis=0)[hit]]
     idx = np.searchsorted(tp, target, side="left")
@@ -252,6 +253,11 @@ class TestResample:
     @example(case=(TimeSeries(_TIE_READINGS, [1.0, 2.0, 3.0]), _TIE_GRID, 0.05))
     @example(case=(TimeSeries(_TIE_READINGS, [1.0, np.nan, 3.0]), _TIE_GRID, 0.05))
     @example(case=(TimeSeries(_EARLY_READINGS, [1.0, 2.0, 3.0]), _TIE_GRID, 0.05))
+    # fl(1.1 - 1e-10) ties the instant's rounded search point, 1.1 - slack, though the rounded
+    # distance to 1.1 is 1.00000008e-10, above the slack: the instant takes it
+    @example(
+        case=(TimeSeries([1.0, 1.1 - 1e-10, 1.3], [1.0, 2.0, 3.0]), UniformGrid(1.0, 10.0, 4), 0.5)
+    )
     # readings before the grid's start and after its end
     @example(
         case=(TimeSeries([0.5, 0.95, 1.22, 1.6, 2.0], [1.0, 2.0, 3.0, 4.0, 5.0]),
