@@ -7,7 +7,6 @@ error.  All commands are deterministic for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
-import collections
 import dataclasses
 import functools
 import json
@@ -107,7 +106,9 @@ def cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
     scenario, models = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
-    crio.write_sensor_csv(args.output, simulate_recording(scenario, models))
+    # a ValueError of the scenario's motion or sampling names the scenario file
+    recording = _named(args.scenario, simulate_recording, scenario, models)
+    _named(args.scenario, crio.write_sensor_csv, args.output, recording)
     return 0
 
 
@@ -148,9 +149,8 @@ def _run_inputs(work, jobs: list[tuple], commit, workers: int) -> None:
     sys.stderr.flush()
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        pending = collections.deque(pool.submit(work, *job) for job in jobs)
-        while pending:
-            commit(pending.popleft().result())
+        for result in pool.map(work, *zip(*jobs)):
+            commit(result)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -219,6 +219,11 @@ def cmd_fuse(args: argparse.Namespace, config: RunConfig) -> int:
     jobs = [(path, output, config) for path, output in zip(args.inputs, parts or targets)]
     try:
         _run_inputs(_fuse_one, jobs, commit, workers)
+    except OSError as exc:  # a worker's write names its part: name the part's target instead
+        names = {str(part): str(target) for part, target in zip(parts, targets)}
+        if str(exc.filename) not in names:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, names[str(exc.filename)]) from None
     finally:  # the parts of the inputs after a failing one
         for part in parts:
             part.unlink(missing_ok=True)

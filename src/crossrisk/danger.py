@@ -162,5 +162,5 @@ def danger_series(track: KinematicTrack, params: DangerParams = DangerParams()) 
 def decisions_from_series(
     series: TimeSeries, params: DangerParams = DangerParams()
 ) -> tuple[Decision, ...]:
-    """Threshold a score series into a per-instant decision stream."""
+    """Threshold a score series into a per-instant decision stream; kept for ``perfbench/``."""
     return _as_decisions(_decision_codes(series.values, params.threshold))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig, read_json_file, record_from_dict
-from .danger import Decision, danger_series, decisions_from_series
 from .fusion import (
     CAMERA_AW,
     CAMERA_DRONE,
@@ -241,19 +240,15 @@ def default_sensor_models() -> dict[str, SensorModel]:
 
 @dataclass(frozen=True)
 class SimulatedRun:
-    """Everything a synthetic run produces.
+    """A synthetic recording and its ingest.
 
     ``raw_streams`` are the per-sensor measurement series before any
     processing (what a recording would contain); ``sensors`` is the
-    processed sensor set on the shared grid; ``truth_track`` carries the
-    closed-form kinematics evaluated on that same grid, and
-    ``truth_decisions`` the decision stream derived from it.
+    processed sensor set on the shared grid.
     """
 
     raw_streams: dict[str, TimeSeries]
     sensors: SensorSet
-    truth_track: KinematicTrack
-    truth_decisions: tuple[Decision, ...]
 
 
 def simulate_recording(
@@ -281,10 +276,9 @@ def generate_run(
     models: dict[str, SensorModel] | None = None,
     run_config: RunConfig | None = None,
 ) -> SimulatedRun:
-    """Simulate one recording and put it through the processing pipeline.
+    """The recording of :func:`simulate_recording`, ingested as ``ingest`` ingests it.
 
-    The recording of :func:`simulate_recording` is ingested as ``ingest``
-    would ingest it, and the closed-form truth is evaluated on its grid.
+    Kept for ``perfbench/bench_replay.py``.
     """
     cfg = RunConfig() if run_config is None else run_config
     raw = simulate_recording(config, models)
@@ -296,15 +290,7 @@ def generate_run(
         derivative_smooth_window=cfg.smooth_window_derivative,
         max_gap=cfg.max_gap_s,
     )
-    td, tv, ta = _truth_state(config, sensors.grid.times())
-    truth_track = KinematicTrack(sensors.grid, np.maximum(td, 0.0), tv, ta)
-    truth_g = danger_series(truth_track, cfg.danger)
-    return SimulatedRun(
-        raw_streams=raw,
-        sensors=sensors,
-        truth_track=truth_track,
-        truth_decisions=decisions_from_series(truth_g, cfg.danger),
-    )
+    return SimulatedRun(raw, sensors)
 
 
 def scenario_from_dict(data: dict) -> tuple[ScenarioConfig, dict[str, SensorModel]]:

@@ -5,7 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from crossrisk import KinematicTrack, TimeSeries, UniformGrid, differentiate
+from crossrisk import (
+    DangerParams,
+    Decision,
+    KinematicTrack,
+    ScenarioConfig,
+    TimeSeries,
+    UniformGrid,
+    danger_series,
+    decide,
+    differentiate,
+)
+from crossrisk.simulate import _truth_state
 
 
 def series_on_grid(values, rate_hz: float = 100.0, start: float = 0.0) -> TimeSeries:
@@ -22,6 +33,19 @@ def track_from_distances(
     values = np.asarray(values, dtype=float)
     grid = UniformGrid(start=0.0, rate_hz=rate_hz, count=values.size)
     return differentiate(series_on_grid(values, rate_hz), grid, smooth_window=smooth_window)
+
+
+def closed_form_truth(
+    scenario: ScenarioConfig, grid: UniformGrid, params: DangerParams
+) -> tuple[KinematicTrack, tuple[Decision, ...]]:
+    """The scenario's closed-form kinematics on ``grid`` and the decisions scored from them.
+
+    The distance is clamped at zero, as the simulator clamps it; an oracle for the pipeline
+    that no recording's noise, smoothing or derivative warm-up shapes.
+    """
+    distance, speed, accel = _truth_state(scenario, grid.times())
+    track = KinematicTrack(grid, np.maximum(distance, 0.0), speed, accel)
+    return track, tuple(decide(g, params) for g in danger_series(track, params).values)
 
 
 @pytest.fixture

@@ -41,6 +41,8 @@ from crossrisk import (
 from crossrisk.cli import main
 from crossrisk.metrics import InsufficientDataError
 
+from conftest import closed_form_truth
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -317,14 +319,15 @@ def test_criterion_7_end_to_end_zero_noise():
         )
         run = generate_run(scenario, NOISELESS_MODELS, run_config=IDENTITY_PIPELINE)
         params = IDENTITY_PIPELINE.danger
-        truth_g = danger_series(run.truth_track, params)
+        truth_track, truth_decisions = closed_form_truth(scenario, run.sensors.grid, params)
+        truth_g = danger_series(truth_track, params)
 
         # sanity: the score crosses the threshold transversally (no grid
         # point sits on the boundary), so exact decision matching is well posed
         defined_truth = truth_g.values[~np.isnan(truth_g.values)]
         assert np.min(np.abs(defined_truth - params.threshold)) > 1e-6
-        assert Decision.DANGEROUS in run.truth_decisions
-        assert Decision.SAFE in run.truth_decisions
+        assert Decision.DANGEROUS in truth_decisions
+        assert Decision.SAFE in truth_decisions
 
         g_tolerance = 3.0 / run.sensors.grid.rate_hz
         for sensor_id, track in run.sensors.tracks.items():
@@ -332,13 +335,13 @@ def test_criterion_7_end_to_end_zero_noise():
             both = ~np.isnan(g.values) & ~np.isnan(truth_g.values)
             assert np.all(np.abs(g.values[both] - truth_g.values[both]) <= g_tolerance), sensor_id
             decisions = decisions_from_series(g, params)
-            for got, want in zip(decisions, run.truth_decisions):
+            for got, want in zip(decisions, truth_decisions):
                 if got is not Decision.UNKNOWN:
                     assert got is want, sensor_id
 
         trace = fuse_all(run.sensors, params, derivative_smooth_window=1)
         for stream in (trace.decision_distance, trace.decision_danger, trace.decision_vote):
-            for got, want in zip(stream, run.truth_decisions):
+            for got, want in zip(stream, truth_decisions):
                 if got is not Decision.UNKNOWN:
                     assert got is want
 

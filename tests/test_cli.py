@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossrisk.cli
+import crossrisk.danger
 import crossrisk.io
 import crossrisk.simulate
 from crossrisk import (
@@ -780,7 +781,7 @@ class TestCliCommands:
             raise AssertionError("simulate ran a pipeline stage")
 
         monkeypatch.setattr(crossrisk.simulate, "sensor_set_from_streams", stage)
-        monkeypatch.setattr(crossrisk.simulate, "danger_series", stage)
+        monkeypatch.setattr(crossrisk.danger, "_danger_values", stage)  # the one scoring kernel
         out = tmp_path / "out.csv"
         assert main(["simulate", str(GOLDEN_SCENARIO), str(out)]) == 0
         assert out.read_bytes() == expected.read_bytes()
@@ -829,7 +830,22 @@ class TestCliCommands:
             )
         )
         assert main(["simulate", str(scenario), str(tmp_path / "out.csv")]) == 2
-        assert "sensor rsu: samples at 0.0 s and 5e-07 s" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scenario}: sensor rsu: samples at 0.0 s and 5e-07 s")
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+    def test_obstacle_past_the_crossing_is_data_error_naming_the_scenario(
+        self, tmp_path, capsys
+    ):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(
+            json.dumps({"duration": 10.0, "initial_distance": 1.0, "initial_speed": 2.0})
+        )
+        assert main(["simulate", str(scenario), str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {scenario}: scenario drives the obstacle past the crossing point\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
     def test_fuse_output_name_clash_is_usage_error(self, tmp_path, sensors_csv, capsys):
         inputs = [tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv"]
@@ -1031,6 +1047,26 @@ class TestMultipleInputs:
         assert main(["fuse", str(recordings[0]), bad, *map(str, recordings[1:3]), str(out)]) == 2
         assert clean(out) and clean(elsewhere)
         assert sorted(p.name for p in out.iterdir()) == [f"{c}_fused.csv" for c in "abc"]
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-workers", "one-cpu"])
+    def test_unwritable_link_target_is_named_as_the_target(
+        self, tmp_path, recordings, capsys, monkeypatch, cpus
+    ):
+        # a worker writes a part beside the link's target: its error still names the target
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        out = tmp_path / "fused"
+        out.mkdir()
+        (out / "b_fused.csv").symlink_to(tmp_path / "missing" / "b_trace.csv")
+        assert main(["fuse", *map(str, recordings[:2]), str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out / 'b_fused.csv'}'\n"
+        )
+        # the input before the failing one is written; no part or temporary file is left
+        assert sorted(p.name for p in out.iterdir()) == ["a_fused.csv", "b_fused.csv"]
+        assert not (tmp_path / "missing").exists()
+        single = tmp_path / "a_single.csv"
+        assert main(["fuse", str(recordings[0]), str(single)]) == 0
+        assert (out / "a_fused.csv").read_bytes() == single.read_bytes()
 
     def test_directory_in_the_way_of_a_trace_is_named(
         self, tmp_path, recordings, capsys, monkeypatch

@@ -26,6 +26,8 @@ from crossrisk import (
     simulate_recording,
 )
 
+from conftest import closed_form_truth
+
 NOISELESS = {
     "rsu": RangeSensorModel(relative_noise=0.0),
     "camera_aw": CameraSensorModel(detection_range=float("inf"), pixel_noise_sigma=0.0),
@@ -234,9 +236,11 @@ class TestGenerateRun:
         run = generate_run(self.SCENARIO, NOISELESS, run_config=IDENTITY_PIPELINE)
         from crossrisk import danger_series, decisions_from_series
 
+        params = IDENTITY_PIPELINE.danger
+        _, truth_decisions = closed_form_truth(self.SCENARIO, run.sensors.grid, params)
         for sensor_id, track in run.sensors.tracks.items():
             decisions = decisions_from_series(danger_series(track))
-            for got, want in zip(decisions, run.truth_decisions):
+            for got, want in zip(decisions, truth_decisions):
                 if got is not Decision.UNKNOWN:
                     assert got is want, sensor_id
 
@@ -259,8 +263,9 @@ class TestGenerateRun:
             seed=3,
         )
         run = generate_run(scenario, NOISELESS, run_config=IDENTITY_PIPELINE)
-        assert run.truth_decisions[-1] is Decision.SAFE
-        assert Decision.DANGEROUS in run.truth_decisions
+        _, truth_decisions = closed_form_truth(scenario, run.sensors.grid, IDENTITY_PIPELINE.danger)
+        assert truth_decisions[-1] is Decision.SAFE
+        assert Decision.DANGEROUS in truth_decisions
 
     def test_sensor_rates_respected(self):
         run = generate_run(self.SCENARIO)
