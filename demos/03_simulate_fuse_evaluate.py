@@ -41,9 +41,10 @@ print(f"simulated {scenario.duration} s -> {grid.count} grid points at {grid.rat
 
 print()
 print("=== per-sensor availability (camera dropout at long range) ===")
-for sensor_id, track in sensors.tracks.items():
-    present = np.count_nonzero(~np.isnan(track.distance))
-    print(f"  {sensor_id:13s} {present:4d}/{grid.count} points with a distance")
+# one row per sensor of the sensors x time frame, the tracker's last
+present = np.count_nonzero(~np.isnan(sensors.distance), axis=1)
+for sensor_id, count in zip(sensors.ids, present):
+    print(f"  {sensor_id:13s} {count:4d}/{grid.count} points with a distance")
 
 print()
 print("=== ground-truth decisions over the run (the motion tracker) ===")

@@ -94,9 +94,9 @@ def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
     sensors = _ingest(args.input, config)
     grid = sensors.grid
     print(f"grid: start={grid.start:.6f} s, rate={grid.rate_hz:g} Hz, points={grid.count}")
-    for sensor_id, track in sensors.tracks.items():
-        present = np.count_nonzero(~np.isnan(track.distance))
-        print(f"{sensor_id:<13} {present}/{grid.count} distance points present")
+    present = np.count_nonzero(~np.isnan(sensors.distance), axis=1)
+    for sensor_id, count in zip(sensors.ids, present):
+        print(f"{sensor_id:<13} {count}/{grid.count} distance points present")
     if sensors.tracker() is None:
         print("tracker: absent (fuse-only recording)", file=sys.stderr)
     return 0

@@ -34,8 +34,13 @@ _DECISIONS = np.array([Decision.SAFE, Decision.DANGEROUS, Decision.UNKNOWN], dty
 
 
 def _decision_codes(g: np.ndarray, threshold: float) -> np.ndarray:
-    """Threshold scores into codes: strictly above is DANGEROUS, NaN is UNKNOWN."""
-    return np.where(np.isnan(g), _UNKNOWN, g > threshold)
+    """Threshold scores into int8 codes: strictly above is DANGEROUS, NaN is UNKNOWN.
+
+    One byte per code: a trace keeps a code row for every sensor.
+    """
+    codes = np.asarray(g > threshold).view(np.int8)
+    codes[np.isnan(g)] = _UNKNOWN
+    return codes
 
 
 def _as_decisions(codes: np.ndarray) -> tuple[Decision, ...]:
@@ -90,10 +95,7 @@ def speed_transform(closing_speed, params: DangerParams = DangerParams()):
 
     Piecewise linear and continuous; accepts scalars or arrays.
     """
-    scaled = (np.asarray(closing_speed, dtype=float) - params.speed_deadband) / (
-        params.speed_saturation - params.speed_deadband
-    )
-    out = np.clip(scaled, 0.0, 1.0)
+    out = _speed_transform(closing_speed, params, np.empty(np.shape(closing_speed)))
     return float(out) if np.isscalar(closing_speed) else out
 
 
@@ -104,12 +106,31 @@ def accel_transform(acceleration, params: DangerParams = DangerParams()):
     increase it; magnitudes inside the dead band contribute nothing and
     magnitudes beyond saturation are capped.
     """
-    a = np.asarray(acceleration, dtype=float)
-    span = params.accel_saturation - params.accel_deadband
-    pos = np.clip((a - params.accel_deadband) / span, 0.0, 1.0)
-    neg = np.clip((a + params.accel_deadband) / span, -1.0, 0.0)
-    out = pos + neg
+    shape = np.shape(acceleration)
+    out = _accel_transform(acceleration, params, np.empty(shape), np.empty(shape))
     return float(out) if np.isscalar(acceleration) else out
+
+
+def _speed_transform(closing_speed, params: DangerParams, out: np.ndarray) -> np.ndarray:
+    """Kernel of :func:`speed_transform`, into ``out``."""
+    np.subtract(closing_speed, params.speed_deadband, out=out)
+    out /= params.speed_saturation - params.speed_deadband
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _accel_transform(
+    acceleration, params: DangerParams, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Kernel of :func:`accel_transform`, into ``out``; ``scratch`` is overwritten."""
+    span = params.accel_saturation - params.accel_deadband
+    np.subtract(acceleration, params.accel_deadband, out=out)  # the speeding-up part
+    out /= span
+    np.clip(out, 0.0, 1.0, out=out)
+    np.add(acceleration, params.accel_deadband, out=scratch)  # the braking part
+    scratch /= span
+    np.clip(scratch, -1.0, 0.0, out=scratch)
+    out += scratch
+    return out
 
 
 def _danger_values(
@@ -118,19 +139,27 @@ def _danger_values(
     acceleration: np.ndarray,
     params: DangerParams,
 ) -> np.ndarray:
-    """Vectorized score; NaN inputs yield NaN, negative distances raise."""
+    """Vectorized score; NaN inputs yield NaN, negative distances raise.
+
+    The transforms run in place on the result and one scratch array, so a
+    sensors × time frame is scored with two allocations.
+    """
     d = np.asarray(distance, dtype=float)
     if (d < 0).any():  # NaN compares False
         raise ValueError("distance must be non-negative")
+    shape = np.broadcast_shapes(d.shape, np.shape(closing_speed), np.shape(acceleration))
+    g, scratch = np.empty(shape), np.empty(shape)
     # a finite speed or acceleration too large to scale saturates: clip takes the infinity
     with np.errstate(over="ignore", invalid="ignore"):
-        numerator = speed_transform(closing_speed, params) + params.accel_weight * (
-            accel_transform(acceleration, params)
-        )
-        denominator = np.maximum(
-            np.log(d + params.distance_offset), params.denominator_floor
-        )
-    return numerator / denominator
+        _accel_transform(acceleration, params, scratch, g)
+        np.multiply(params.accel_weight, scratch, out=scratch)
+        _speed_transform(closing_speed, params, g)
+        g += scratch  # the numerator
+        np.add(d, params.distance_offset, out=scratch)
+        np.log(scratch, out=scratch)
+        np.maximum(scratch, params.denominator_floor, out=scratch)
+        g /= scratch
+    return g
 
 
 def danger_value(

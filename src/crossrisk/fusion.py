@@ -23,31 +23,55 @@ from .danger import (
     _UNKNOWN,
     DangerParams,
     _as_decisions,
+    _danger_values,
     _decision_codes,
-    danger_series,
 )
-from .kinematics import KinematicTrack, differentiate
-from .timeseries import TimeSeries, UniformGrid, _frozen, align, smooth_trailing
+from .kinematics import KinematicTrack, _derivatives, _reject_infinite
+from .timeseries import TimeSeries, UniformGrid, _frozen, _interpolate, _trailing_mean, _unchecked
 
 RSU = "rsu"
 CAMERA_AW = "camera_aw"
 CAMERA_DRONE = "camera_drone"
 TRACKER = "tracker"
 SENSOR_IDS = (RSU, CAMERA_AW, CAMERA_DRONE)
+DISTANCE_FUSION = "distance_fusion"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SensorSet:
-    """Per-sensor kinematic tracks sharing one grid; may include the tracker."""
+    """Each sensor's distance, closing speed and acceleration on one grid: a sensors × time frame.
+
+    Row ``i`` of the read-only ``(len(ids), grid.count)`` arrays ``distance``, ``speed`` and
+    ``acceleration`` is sensor ``ids[i]``'s.  The tracker, when present, is the last row, so
+    the rows before it are the fusable sensors.
+    """
 
     grid: UniformGrid
-    tracks: Mapping[str, KinematicTrack]
+    ids: tuple[str, ...]
+    distance: np.ndarray
+    speed: np.ndarray
+    acceleration: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tracks", dict(self.tracks))
-        for sensor_id, track in self.tracks.items():
-            if track.grid != self.grid:
+    def __init__(self, grid: UniformGrid, tracks: Mapping[str, KinematicTrack]) -> None:
+        """Stack per-sensor tracks into a frame, the tracker's row last; for ``perfbench/``."""
+        for sensor_id, track in tracks.items():
+            if track.grid != grid:
                 raise ValueError(f"track {sensor_id!r} is not on the shared grid")
+        ids = tuple(sorted(tracks, key=lambda s: s == TRACKER))  # stable: only the tracker moves
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "ids", ids)
+        for name in ("distance", "speed", "acceleration"):
+            rows = [getattr(tracks[s], name) for s in ids]
+            object.__setattr__(self, name, _frozen(np.array(rows).reshape(len(ids), grid.count)))
+
+    @property
+    def tracks(self) -> dict[str, KinematicTrack]:
+        """Each sensor's row as a read-only track view, in row order; for ``perfbench/``."""
+        rows = zip(self.ids, self.distance, self.speed, self.acceleration)
+        return {
+            s: _unchecked(KinematicTrack, grid=self.grid, distance=d, speed=v, acceleration=a)
+            for s, d, v, a in rows
+        }
 
     def fusable(self) -> dict[str, KinematicTrack]:
         """The sensor tracks that participate in fusion (tracker excluded)."""
@@ -62,9 +86,11 @@ class FusionTrace:
     """Per-grid-point outputs of all three fusion architectures.
 
     ``params`` are the danger parameters the trace was fused with.
-    ``sensor_g`` holds the danger-score series of every track in the
-    sensor set, tracker included, as scored once by :func:`fuse_all`.
-    The three decision streams are int codes (0 SAFE, 1 DANGEROUS,
+    ``sensor_g`` holds the danger-score series of every sensor in the
+    sensor set, tracker included, as scored once by :func:`fuse_all`,
+    and ``sensor_codes`` their decision codes, in the same order: rows of
+    one scores frame and one codes frame.
+    The decision streams are int codes (0 SAFE, 1 DANGEROUS,
     2 UNKNOWN); the read-only ``decision_distance``, ``decision_danger``
     and ``decision_vote`` decode them to ``tuple[Decision, ...]``.
     """
@@ -81,6 +107,7 @@ class FusionTrace:
     dangerous_votes: np.ndarray
     votes_cast: np.ndarray
     sensor_g: Mapping[str, TimeSeries]
+    sensor_codes: Mapping[str, np.ndarray]
 
     decision_distance = property(lambda self: _as_decisions(self.distance_codes))
     decision_danger = property(lambda self: _as_decisions(self.danger_codes))
@@ -98,8 +125,9 @@ def sensor_set_from_streams(
     """Turn raw per-sensor distance streams into an aligned sensor set.
 
     Each stream is smoothed with its sensor-specific trailing window (the
-    tracker is left untouched), all streams are resampled onto one shared
-    grid, and each is differentiated into a kinematic track.
+    tracker is left untouched) and resampled onto a grid spanning all
+    streams, as :func:`~crossrisk.timeseries.align` places them; the rows
+    make one frame, and one kernel call differentiates every row.
     """
     if not streams:
         raise ValueError("streams must not be empty")
@@ -113,18 +141,33 @@ def sensor_set_from_streams(
     unknown = set(streams) - set(windows)
     if unknown:
         raise ValueError(f"unknown sensor ids: {sorted(unknown)}")
-    smoothed = [
-        _named(f"{s} distance", smooth_trailing, streams[s], windows[s])
-        if windows[s] > 1
-        else streams[s]
-        for s in order
-    ]
-    grid, aligned = align(smoothed, resample_hz, max_gap=max_gap)
-    tracks = {
-        s: _named(s, differentiate, series, grid, smooth_window=derivative_smooth_window)
-        for s, series in zip(order, aligned)
-    }
-    return SensorSet(grid, tracks)
+    smoothed = []
+    for s in order:
+        values = streams[s].values
+        if windows[s] > 1:
+            values = _trailing_mean(values, windows[s])
+            if np.isinf(values).any():  # as the smoothed series would reject it
+                raise ValueError(f"{s} distance: values must not be infinite")
+        smoothed.append((streams[s].times, values))
+    start = min(times[0] for times, _ in smoothed)
+    end = max(times[-1] for times, _ in smoothed)
+    grid = UniformGrid.spanning(start, end, resample_hz, "resample_hz")
+    if max_gap <= 0:
+        raise ValueError("max_gap must be positive")
+    # rows are stacked, not resampled into a frame made first: a kernel's temporaries freed
+    # at the top of the heap went back to the system after each row, 4 500 page faults
+    # more per cold 60 001-point ingest
+    distance = np.stack([_interpolate(times, values, grid, max_gap) for times, values in smoothed])
+    if np.isinf(distance).any():  # as a resampled series would reject it
+        raise ValueError("values must not be infinite")
+    speed, acceleration = _named(
+        order[0], _derivatives, distance, grid.rate_hz, derivative_smooth_window
+    )
+    _reject_infinite(order, speed=speed, acceleration=acceleration)
+    return _unchecked(
+        SensorSet, grid=grid, ids=tuple(order), distance=_frozen(distance),
+        speed=speed, acceleration=acceleration,
+    )
 
 
 def _named(name: str, step, *args, **kwargs):
@@ -155,41 +198,47 @@ def fuse_all(
     """Run all three fusion architectures over one sensor set.
 
     The available sensors' mean distance goes through the same
-    differentiation used for the single sensors before being scored, so
-    the distance-fusion decision stream is produced by one ordinary
-    pipeline run on averaged input.
+    differentiation and scoring kernels as the sensor frame, so the
+    distance-fusion decision stream is produced by one ordinary pipeline
+    run on averaged input.  The frame itself is scored and thresholded once.
     """
     grid = sensors.grid
-    fusable = sensors.fusable()
+    fusable = len(sensors.ids) - (TRACKER in sensors.ids)  # the rows before the tracker's
     if not fusable:
         raise ValueError("no fusable sensors")
-    fused_d, available_count = _available_mean(np.vstack([t.distance for t in fusable.values()]))
-    distance_fused = _named("distance_fusion", TimeSeries, grid.times(), _frozen(fused_d))
-    fused_track = _named(
-        "distance_fusion", differentiate, distance_fused, grid,
-        smooth_window=derivative_smooth_window,
+    fused_d, available_count = _available_mean(sensors.distance[:fusable])
+    if np.isinf(fused_d).any():  # as a series of the fused distance would reject it
+        raise ValueError(f"{DISTANCE_FUSION}: values must not be infinite")
+    fused_speed, fused_accel = _named(
+        DISTANCE_FUSION, _derivatives, fused_d, grid.rate_hz, derivative_smooth_window
     )
-    g_distance = danger_series(fused_track, params)
-    sensor_g = {s: danger_series(t, params) for s, t in sensors.tracks.items()}
-    stacked_g = np.vstack([sensor_g[s].values for s in fusable])
-    g_danger = TimeSeries(grid.times(), _frozen(_available_mean(stacked_g)[0]))
+    _reject_infinite(
+        (DISTANCE_FUSION,), speed=fused_speed[None], acceleration=fused_accel[None]
+    )
+    g_distance = _frozen(_danger_values(fused_d, fused_speed, fused_accel, params))
+    g = _frozen(_danger_values(sensors.distance, sensors.speed, sensors.acceleration, params))
+    codes = _frozen(_decision_codes(g, params.threshold))
+    g_danger = _frozen(_available_mean(g[:fusable])[0])
 
     # each sensor votes its threshold decision; UNKNOWN abstains, ties go DANGEROUS
-    codes = _decision_codes(stacked_g, params.threshold)
-    dangerous = (codes == _DANGEROUS).sum(axis=0)
-    cast = (codes != _UNKNOWN).sum(axis=0)
+    dangerous = (codes[:fusable] == _DANGEROUS).sum(axis=0)
+    cast = (codes[:fusable] != _UNKNOWN).sum(axis=0)
     vote = np.where(cast == 0, _UNKNOWN, 2 * dangerous >= cast)
+    times = grid.times()
     return FusionTrace(
         grid=grid,
         params=params,
         available_count=available_count,
-        distance_fused=distance_fused,
-        g_distance_fusion=g_distance,
-        g_danger_fusion=g_danger,
-        distance_codes=_decision_codes(g_distance.values, params.threshold),
-        danger_codes=_decision_codes(g_danger.values, params.threshold),
+        distance_fused=_unchecked(TimeSeries, times=times, values=_frozen(fused_d)),
+        g_distance_fusion=_unchecked(TimeSeries, times=times, values=g_distance),
+        g_danger_fusion=_unchecked(TimeSeries, times=times, values=g_danger),
+        distance_codes=_decision_codes(g_distance, params.threshold),
+        danger_codes=_decision_codes(g_danger, params.threshold),
         vote_codes=vote,
         dangerous_votes=dangerous,
         votes_cast=cast,
-        sensor_g=sensor_g,
+        sensor_g={
+            s: _unchecked(TimeSeries, times=times, values=row) for s, row in zip(sensors.ids, g)
+        },
+        sensor_codes=dict(zip(sensors.ids, codes)),
     )

@@ -88,27 +88,49 @@ def differentiate(
     smoothed with a trailing window (``smooth_window=1`` disables this);
     the causal window keeps the estimate usable at run time.
     """
-    if smooth_window < 1:
-        raise ValueError("smooth_window must be at least 1")
     if distance.times is not grid.times() and (  # a series on the grid shares its times
         len(distance) != grid.count
         or not np.allclose(distance.times, grid.times(), rtol=0.0, atol=grid.slack)
     ):
         raise ValueError("distance series does not lie on the track grid")
-    d = distance.values
-    rate = grid.rate_hz
-    speed = np.full(d.size, np.nan)
-    accel = np.full(d.size, np.nan)
-    # a derivative past float64's range is infinite, and the track's check rejects it by name
+    speed, accel = _derivatives(distance.values, grid.rate_hz, smooth_window)
+    return KinematicTrack(grid, distance.values, speed, accel)
+
+
+def _derivatives(
+    distance: np.ndarray, rate: float, smooth_window: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel of :func:`differentiate` over each row of ``distance``, one row or a frame.
+
+    Returns read-only speed and acceleration of ``distance``'s shape.  A derivative past
+    float64's range is infinite, for the caller's check to reject by name.
+    """
+    if smooth_window < 1:
+        raise ValueError("smooth_window must be at least 1")
+    speed = np.empty(distance.shape)
+    accel = np.empty(distance.shape)
+    speed[..., :1] = np.nan
+    accel[..., :2] = np.nan
     with np.errstate(over="ignore", invalid="ignore"):
-        if d.size > 1:
-            speed[1:] = (d[:-1] - d[1:]) * rate
-        if d.size > 2:
-            accel[2:] = (speed[2:] - speed[1:-1]) * rate
-    if smooth_window > 1:
-        speed = _trailing_mean(speed, smooth_window)
-        accel = _trailing_mean(accel, smooth_window)
-    return KinematicTrack(grid, d, _frozen(speed), _frozen(accel))
+        np.subtract(distance[..., :-1], distance[..., 1:], out=speed[..., 1:])
+        speed[..., 1:] *= rate
+        np.subtract(speed[..., 2:], speed[..., 1:-1], out=accel[..., 2:])
+        accel[..., 2:] *= rate
+    if smooth_window > 1:  # row by row, in place: a window never reaches into another row
+        count = distance.shape[-1]
+        for row in (*speed.reshape(-1, count), *accel.reshape(-1, count)):
+            _trailing_mean(row, smooth_window, out=row)
+    return _frozen(speed), _frozen(accel)
+
+
+def _reject_infinite(ids, **frames: np.ndarray) -> None:
+    """Raise ``<id>: <name> must not be infinite`` for the first row, in ``ids`` order, of the
+    ``(len(ids), count)`` arrays ``frames`` that holds an infinity, as a track would."""
+    if any(np.isinf(frame).any() for frame in frames.values()):
+        for i, row_id in enumerate(ids):
+            for name, frame in frames.items():
+                if np.isinf(frame[i]).any():
+                    raise ValueError(f"{row_id}: {name} must not be infinite")
 
 
 def time_to_cross(model: CrossingModel) -> float:

@@ -19,12 +19,10 @@ from .danger import (
     _UNKNOWN,
     Decision,
     _as_codes,
-    _decision_codes,
 )
-from .fusion import CAMERA_AW, CAMERA_DRONE, RSU, TRACKER, FusionTrace
+from .fusion import CAMERA_AW, CAMERA_DRONE, DISTANCE_FUSION, RSU, TRACKER, FusionTrace
 from .timeseries import TimeSeries
 
-DISTANCE_FUSION = "distance_fusion"
 DANGER_FUSION = "danger_fusion"
 VOTING_FUSION = "voting_fusion"
 EVALUATION_SOURCES = (
@@ -65,7 +63,9 @@ class EvaluationReport:
 
 def rmse(predicted: TimeSeries, truth: TimeSeries) -> float:
     """Root mean square difference over jointly present instants."""
-    if len(predicted) != len(truth) or not np.array_equal(predicted.times, truth.times):
+    if predicted.times is not truth.times and (  # series on one grid share its times
+        len(predicted) != len(truth) or not np.array_equal(predicted.times, truth.times)
+    ):
         raise ValueError("series must share the same grid")
     both = predicted.present & truth.present
     if not np.any(both):
@@ -137,10 +137,10 @@ def evaluate_run(
 ) -> dict[str, EvaluationReport | None]:
     """Evaluate every sensor and fusion architecture against the tracker.
 
-    Reads the per-sensor scores :func:`fuse_all` stored in the trace and
-    thresholds them with the parameters the trace was fused with.  A
-    source with no jointly classified instant (e.g. a camera that never
-    detected the obstacle) maps to ``None`` instead of a report.
+    Reads the per-sensor scores and decision codes :func:`fuse_all` stored
+    in the trace.  A source with no jointly classified instant (e.g. a
+    camera that never detected the obstacle) maps to ``None`` instead of a
+    report.
 
     Raises
     ------
@@ -150,10 +150,9 @@ def evaluate_run(
     truth_g = trace.sensor_g.get(TRACKER)
     if truth_g is None:
         raise ValueError("trace has no tracker scores to evaluate against")
-    threshold = trace.params.threshold
-    truth = _decision_codes(truth_g.values, threshold)
+    truth = trace.sensor_codes[TRACKER]
     candidates = {
-        source: (g, _decision_codes(g.values, threshold))
+        source: (g, trace.sensor_codes[source])
         for source, g in trace.sensor_g.items()
         if source != TRACKER
     }

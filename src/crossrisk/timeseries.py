@@ -50,6 +50,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _unchecked(cls, **fields):
+    """A frozen dataclass ``cls`` of ``fields`` that are already checked and read-only (a row
+    of a checked frame on a grid's own instants, say), built without its ``__post_init__``."""
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """One channel of timestamped readings.
@@ -156,6 +165,7 @@ class UniformGrid:
     rate_hz: float = 100.0
     count: int = 1
     _times: np.ndarray = field(init=False, compare=False, repr=False)
+    _slack_s: numbers.Real = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_field_kinds(self)
@@ -166,6 +176,8 @@ class UniformGrid:
         times = self.start + np.arange(self.count) / self.rate_hz
         times.setflags(write=False)
         object.__setattr__(self, "_times", times)
+        slack = _slack(self.rate_hz, max(abs(self.start), abs(self.end)))
+        object.__setattr__(self, "_slack_s", slack)
 
     @classmethod
     def spanning(cls, start: float, end: float, rate_hz: float, name: str) -> UniformGrid:
@@ -194,7 +206,7 @@ class UniformGrid:
     @property
     def slack(self) -> float:
         """Seconds by which rounding may put an instant past the timestamp it stands for."""
-        return _slack(self.rate_hz, max(abs(self.start), abs(self.end)))
+        return self._slack_s
 
     def times(self) -> np.ndarray:
         return self._times
@@ -220,13 +232,15 @@ def smooth_trailing(series: TimeSeries, window: int) -> TimeSeries:
     return TimeSeries(series.times, _frozen(_trailing_mean(series.values, window)))
 
 
-def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
+def _trailing_mean(values: np.ndarray, window: int, out: np.ndarray | None = None) -> np.ndarray:
     """Kernel of :func:`smooth_trailing` over a plain array (NaN = missing).
 
-    A sum past float64's range gives an infinite mean, for the caller's check to reject.
+    The means go to ``out`` (a new array by default), whose missing instants must already be
+    NaN; ``out=values`` smooths in place.  A sum past float64's range gives an infinite mean,
+    for the caller's check to reject.
     """
     missing = np.isnan(values)
-    gaps = np.flatnonzero(missing)
+    gaps = missing.nonzero()[0]
     # with only a leading run missing (a derivative's first instants), the readings are a slice
     leading = not gaps.size or gaps[-1] == gaps.size - 1
     present = slice(gaps.size, None) if leading else ~missing
@@ -238,7 +252,8 @@ def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
         filling = min(window - 1, pv.size)  # the readings before the window first fills
         sums[filling:] /= window
         sums[:filling] /= np.arange(1.0, filling + 1)
-    out = np.full(values.size, np.nan)
+    if out is None:
+        out = np.full(values.size, np.nan)
     out[present] = sums
     return out
 
@@ -265,11 +280,23 @@ def resample(series: TimeSeries, grid: UniformGrid, max_gap: float = 0.5) -> Tim
         raise EmptyOverlapError(
             f"grid [{grid.start}, {grid.end}] does not overlap series span [{t0}, {t1}]"
         )
+    values = _interpolate(series.times, series.values, grid, max_gap)
+    return TimeSeries(grid.times(), _frozen(values))
+
+
+def _interpolate(
+    times: np.ndarray, values: np.ndarray, grid: UniformGrid, max_gap: float
+) -> np.ndarray:
+    """Kernel of :func:`resample`: the readings ``values`` at ``times`` on ``grid``, a new array.
+
+    The result is allocated last, above the temporaries, so the allocator keeps their
+    memory for the next call rather than handing it back to the system.
+    """
     target = grid.times()
-    present = series.present
+    present = ~np.isnan(values)
     # missing sentinel readings at -inf and +inf: every instant lies between two readings
-    tp = np.concatenate(([-np.inf], series.times[present], [np.inf]))
-    vp = np.concatenate(([np.nan], series.values[present], [np.nan]))
+    tp = np.concatenate(([-np.inf], times[present], [np.inf]))
+    vp = np.concatenate(([np.nan], values[present], [np.nan]))
     # tp[hi], the first reading at most the slack early: the instant's own, or its right neighbour.
     # hi counts the readings more than the slack early; each reading is placed on the grid once
     hi = np.bincount(
@@ -281,8 +308,7 @@ def resample(series: TimeSeries, grid: UniformGrid, max_gap: float = 0.5) -> Tim
     with np.errstate(invalid="ignore"):  # inf / inf next to the -inf sentinel: missing
         w = (target - t_lo) / gap
         val = vp[lo] * (1.0 - w) + v_hi * w
-    out = np.where(t_hi - target <= grid.slack, v_hi, np.where(gap <= max_gap, val, np.nan))
-    return TimeSeries(target, _frozen(out))
+    return np.where(t_hi - target <= grid.slack, v_hi, np.where(gap <= max_gap, val, np.nan))
 
 
 def align(

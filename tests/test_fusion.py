@@ -61,6 +61,22 @@ class TestSensorSet:
         fused = fuse_all(sensors).distance_fused
         assert np.allclose(fused.values, 2.0)
 
+    def test_tracks_stack_into_a_frame_with_the_tracker_row_last(self):
+        tracks = {
+            TRACKER: track_from_distances(np.full(10, 9.0)),
+            RSU: track_from_distances(approach(3.0, 0.5, n=10)),
+        }
+        sensors = SensorSet(tracks[RSU].grid, tracks)
+        assert sensors.ids == (RSU, TRACKER)
+        assert sensors.distance.shape == (2, 10) and not sensors.distance.flags.writeable
+        assert list(sensors.fusable()) == [RSU]
+        for sensor_id, track in sensors.tracks.items():
+            for field in ("distance", "speed", "acceleration"):
+                np.testing.assert_array_equal(
+                    getattr(track, field), getattr(tracks[sensor_id], field)
+                )
+        np.testing.assert_array_equal(fuse_all(sensors).distance_fused.values, tracks[RSU].distance)
+
     def test_tracker_only_set_has_nothing_to_fuse(self):
         sensors = sensor_set({TRACKER: np.full(10, 9.0)})
         with pytest.raises(ValueError, match="no fusable sensors"):

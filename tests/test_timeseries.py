@@ -70,6 +70,15 @@ class TestUniformGrid:
         assert grid.times() is grid.times() and not grid.times().flags.writeable
         assert grid == UniformGrid(start=1.0, rate_hz=4.0, count=5)
 
+    def test_slack_follows_the_grid_end(self):
+        # past 2**31 s the float64 spacing doubles, and so does the slack, set once per grid
+        short, long = (UniformGrid(2.0**31 - 1.5, 100.0, count) for count in (10, 300))
+        for grid in (short, long, UniformGrid(0.0, 100.0, 601)):
+            magnitude = max(abs(grid.start), abs(grid.end))
+            assert grid.slack == max(1e-9 / 100.0, 4 * np.spacing(magnitude))
+        assert long.slack == 2 * short.slack
+        assert short == UniformGrid(2.0**31 - 1.5, 100.0, 10)  # the slack takes no part
+
     @pytest.mark.parametrize(
         "kwargs",
         [
