@@ -69,9 +69,8 @@ TABLE_LABELS = {
 }
 
 
-# Rows are formatted this many at a time, the block of every float column
-# stacked into one matrix, which bounds the writers' transient memory to a
-# few MiB whatever the length of the trace.
+# Rows are formatted this many at a time, which bounds the writers' transient
+# memory to a few MiB whatever the length of the trace.
 _BLOCK_ROWS = 4096
 # Records are tokenized this many at a time: with 4096 row lists alive, the garbage
 # collector swept the whole heap about once per plotdata of a 60 001-row trace.
@@ -85,32 +84,31 @@ def _digit_words(pattern) -> np.ndarray:
     return np.frombuffer(b"".join(pattern(i) for i in range(1000)), np.uint32)
 
 
-# A formatted row is a sequence of 4-byte words holding up to three digits
-# plus a sign, point or separator byte; unused bytes are NUL and are deleted
-# when the row is written.  Leading zeros of the integer part are NUL too.
+# A block of rows is formatted row-major as 4-byte words of up to three digits plus a sign,
+# point or separator byte; unused bytes and leading zeros are NUL, deleted on writing.
 _INT_FULL = _digit_words(lambda i: b"\0%03d" % i)
 _INT_UNITS = _digit_words(lambda i: (b"%4d" % i).replace(b" ", b"\0"))
 _INT_TOP = _digit_words(lambda i: (b"%4d" % i).replace(b" ", b"\0") if i else b"\0" * 4)
 _FRAC_HIGH = _digit_words(lambda i: b".%03d" % i)
 _FRAC_LOW = _digit_words(lambda i: b"%03d\0" % i)
 _MINUS = np.frombuffer(b"-\0\0\0", np.uint32)[0]
-_NUL = np.uint32(0)
 _DECISION_LABELS = [str(d).encode() for d in _DECISIONS]
 
 
 def _micro_ticks(a: np.ndarray) -> np.ndarray:
     """Non-negative ``a`` below ``_EXACT_LIMIT`` in integer micro-units, as ``%.6f`` rounds it.
 
-    ``a * 1e6`` is off by at most half an ulp, which moves the rounding
-    only of a value that close to a half-tick; those few values (exact
-    ties such as ``k/128`` among them) are rounded by Python instead.
+    A half-tick ``p = a * 1e6`` rounds by the sign of the exact ``a * 1e6 - p`` (Dekker's
+    product, ``a`` split at 2**27 + 1), half-even at zero; from 2**52 no half-tick is a float.
     """
-    scaled = a * 1e6
-    ticks = np.rint(scaled).astype(np.int64)
-    near_half = np.abs(scaled - np.floor(scaled) - 0.5) <= np.maximum(1e-7, scaled * 1e-15)
-    for i in np.flatnonzero(near_half):
-        ticks.flat[i] = int(("%.6f" % a.flat[i]).replace(".", ""))
-    return ticks
+    p = a * 1e6
+    ticks = np.rint(p)
+    tie = np.flatnonzero(np.abs(p - ticks) == 0.5)
+    x, p = a.flat[tie], p.flat[tie]
+    high = x * 134217729.0 - (x * 134217729.0 - x)
+    e = (high * 1e6 - p) + (x - high) * 1e6
+    ticks.flat[tie] = np.where(e == 0, ticks.flat[tie], p + np.copysign(0.5, e))
+    return ticks.astype(np.int64)
 
 
 def _signed_ticks(x: np.ndarray) -> np.ndarray:
@@ -131,30 +129,33 @@ def _text_words(texts: Sequence[bytes]) -> np.ndarray:
 def _float_words(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
     """``f"{v:.6f}"`` of every value followed by its column's separator (NaN: the separator alone).
 
-    ``x`` is a ``(columns, rows)`` block and ``seps`` a ``(columns, 1)``
-    array of words each holding one separator in its last byte; the
-    result is a ``(columns, rows, words)`` word array.  The sign comes
-    from the sign bit, so ``-0.0`` and ``-1e-9`` print ``-0.000000``.  A
-    block holding a value at or beyond ``_EXACT_LIMIT`` (or an infinity)
-    is formatted wholly by Python.
+    ``x`` is a ``(rows, columns)`` block, ``seps`` a ``(columns,)`` array of words ending in
+    each separator; the ``(rows, columns, words)`` result is in written order.  The sign bit
+    gives the sign (``-1e-9``: ``-0.000000``); a block reaching ``_EXACT_LIMIT`` goes to Python.
     """
     missing = np.isnan(x)
-    a = np.abs(np.where(missing, 0.0, x))
+    a = np.abs(x)
+    a[missing] = 0.0
     if not np.all(a < _EXACT_LIMIT):
         texts = [b"" if m else b"%.6f" % v for v, m in zip(x.ravel().tolist(), missing.flat)]
         numbers = _text_words(texts).reshape(*x.shape, -1)
-        return np.concatenate([numbers, np.broadcast_to(seps[:, :, None], (*x.shape, 1))], axis=2)
-    whole, frac = np.divmod(_micro_ticks(a), 1_000_000)
-    high, low = np.divmod(frac, 1000)
-    words = [_FRAC_HIGH.take(high), _FRAC_LOW.take(low) | seps]
-    rest, group = np.divmod(whole, 1000)
-    words.insert(0, np.where(rest > 0, _INT_FULL.take(group), _INT_UNITS.take(group)))
-    while rest.any():
-        rest, group = np.divmod(rest, 1000)
-        words.insert(0, np.where(rest > 0, _INT_FULL.take(group), _INT_TOP.take(group)))
-    words[0] = words[0] | np.where(np.signbit(x), _MINUS, _NUL)
-    words[-1] = np.where(missing, seps, words[-1])
-    return np.stack([np.where(missing, _NUL, w) for w in words[:-1]] + words[-1:], axis=2)
+        return np.concatenate([numbers, np.broadcast_to(seps[:, None], (*x.shape, 1))], axis=2)
+    # q = x // k; x - q * k: int64 divmod takes no fast path for a scalar divisor
+    ticks = _micro_ticks(a)
+    whole = ticks // 1_000_000
+    frac = ticks - whole * 1_000_000
+    high = frac // 1000
+    words = [_FRAC_HIGH.take(high), _FRAC_LOW.take(frac - high * 1000) | seps]
+    units = _INT_UNITS
+    while whole.max(initial=0) >= 1000:  # a group below the block's widest top group
+        rest = whole // 1000
+        group = whole - rest * 1000
+        words.insert(0, np.where(rest > 0, _INT_FULL.take(group), units.take(group)))
+        whole, units = rest, _INT_TOP
+    words.insert(0, units.take(whole) | np.signbit(x) * _MINUS)  # unmasked: scores are often < 0
+    if missing.any():
+        words = [np.where(missing, 0, w) for w in words[:-1]] + [np.where(missing, seps, words[-1])]
+    return np.stack(words, axis=2)
 
 
 def _write_rows(
@@ -169,17 +170,16 @@ def _write_rows(
     are deleted on the way out, so no Python code runs per row.
     """
     seps = [b","] * (len(floats) + len(labels) - 1) + [b"\n"]
-    float_seps = b"".join(sep.rjust(4, b"\0") for sep in seps[: len(floats)])
-    float_seps = np.frombuffer(float_seps, np.uint32).reshape(-1, 1)
+    float_seps = np.frombuffer(b"".join(s.rjust(4, b"\0") for s in seps[: len(floats)]), np.uint32)
     tables = [
         _text_words([text + sep for text in texts])
         for (_, texts), sep in zip(labels, seps[len(floats) :])
     ]
     for start in range(0, floats[0].size, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        words = _float_words(np.vstack([column[block] for column in floats]), float_seps)
-        rows = [words.transpose(1, 0, 2).reshape(words.shape[1], -1)]
-        rows += [table[codes[block]] for (codes, _), table in zip(labels, tables)]
+        words = _float_words(np.stack([column[block] for column in floats], axis=1), float_seps)
+        rows = [words.reshape(words.shape[0], -1)]
+        rows += [table.take(codes[block], axis=0) for (codes, _), table in zip(labels, tables)]
         fh.write(np.hstack(rows).tobytes().translate(None, b"\0"))
 
 

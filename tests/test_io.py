@@ -9,6 +9,7 @@ import json
 import math
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -129,9 +130,9 @@ def oracle_plot_csv(header, columns, threshold) -> str:
 
 def formatted(values) -> list[str]:
     """``values`` as a one-column block, each cell ended by a newline word."""
-    newline = np.frombuffer(b"\0\0\0\n", np.uint32).reshape(1, 1)
-    words = _float_words(np.asarray(values, dtype=float)[None], newline)
-    return words[0].tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+    newline = np.frombuffer(b"\0\0\0\n", np.uint32)
+    words = _float_words(np.asarray(values, dtype=float)[:, None], newline)
+    return words.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
 
 
 special_values = st.one_of(
@@ -140,6 +141,24 @@ special_values = st.one_of(
     st.floats(0.999 * EXACT_LIMIT, 1.001 * EXACT_LIMIT),  # both sides of the exact range
     st.floats(-1e-5, 1e-5),
     st.sampled_from([0.0, -0.0, -1e-9, 5e-7, -5e-7, 9.9999995, 1e300, -math.inf]),
+)
+
+
+def _with_neighbours(values):
+    """Each of ``values``, or the float just below or just above it."""
+    return st.tuples(values, st.sampled_from([-math.inf, 0.0, math.inf])).map(
+        lambda pair: float(np.nextafter(*pair)) if pair[1] else pair[0]
+    )
+
+
+tick_values = st.one_of(
+    # exact half-tick products (odd multiples of 1/128) and the dyadics around them
+    _with_neighbours(
+        st.builds(lambda k, n: k / 2**n, st.integers(-(2**45), 2**45), st.integers(0, 60))
+    ),
+    _with_neighbours(st.integers(-(10**15), 10**15).map(lambda k: (k + 0.5) / 1e6)),
+    st.floats(2.0**52 / 1e6, EXACT_LIMIT),  # ulp(a * 1e6) is 1: no half-tick is a float
+    st.floats(-2.0**-1022, 2.0**-1022),  # signed zeros and subnormals
 )
 
 
@@ -182,6 +201,16 @@ class TestFixedPointFormatter:
         ticks = _signed_ticks(np.array(values, dtype=float)).tolist()
         assert ticks == [int(f"{v:.6f}".replace(".", "")) for v in values]
 
+    @settings(deadline=None, max_examples=500)
+    @given(st.lists(tick_values, min_size=1, max_size=20))
+    @example([0.0078125, -0.0234375, 2.0**-20])  # exact ties round half-even; a dyadic
+    @example([2.5e-6, 3.5e-6, float(np.nextafter(2.5e-6, 0.0)), float(np.nextafter(3.5e-6, 1.0))])
+    @example([4600000000.0078125, 2.0**52 / 1e6])  # a tie the product rounds itself
+    @example([-0.0, 5e-324, -1e-310, 2.0**-1022])
+    def test_ticks_round_half_ticks_as_printf(self, values):
+        ticks = _signed_ticks(np.array(values, dtype=float)).tolist()
+        assert ticks == [int(("%.6f" % v).replace(".", "")) for v in values]
+
     @settings(deadline=None, max_examples=200)
     @given(block_rows=st.sampled_from([1, 3, 4]), columns=float_blocks())
     @example(  # 1, 2 and 4 integer digit groups; signed zeros, NaN and ties; rows past 2 blocks
@@ -195,9 +224,23 @@ class TestFixedPointFormatter:
     @example(  # one column past the exact range: the block in Python
         block_rows=3, columns=[[1.5, -2.5e-7, math.nan, 0.1], [EXACT_LIMIT, -1e-9, 2.0, -math.inf]]
     )
+    @example(  # a block with no NaN and no sign, then one of only NaN and negatives
+        block_rows=2, columns=[[1.5, 0.0078125, math.nan, -2.5e-6], [2.5e-6, 0.0, -0.0, math.nan]]
+    )
+    @example(  # 4 integer digit groups just below the exact range
+        block_rows=3,
+        columns=[
+            [EXACT_LIMIT - 1e-3, -9.0e9, 1e9],
+            [float(np.nextafter(EXACT_LIMIT, 0)), 0.5, -1e-9],
+        ],
+    )
+    @example(  # subnormals beside ties in range; 1e300 and the infinities by Python
+        block_rows=2, columns=[[5e-324, 1e300, math.inf], [-1e-310, 0.0078125, -math.inf]]
+    )
     def test_blocks_match_fstring(self, block_rows, columns):
         fh = io.BytesIO()
-        with mock.patch.object(crossrisk.io, "_BLOCK_ROWS", block_rows):
+        with mock.patch.object(crossrisk.io, "_BLOCK_ROWS", block_rows), warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on either path
             crossrisk.io._write_rows(fh, [np.array(c, dtype=float) for c in columns])
         cells = [line.split(",") for line in fh.getvalue().decode().split("\n")[:-1]]
         assert cells == [[oracle_field(v) for v in row] for row in zip(*columns)]
@@ -335,6 +378,23 @@ def test_failed_write_leaves_the_old_target(tmp_path, monkeypatch, fail_at):
         write_fused_csv(target, LONG_TRACE, LONG_TRACE.sensor_g)
     assert target.read_bytes() == b"old trace\n"
     assert [p.name for p in tmp_path.iterdir()] == ["fused.csv"]
+
+
+def test_in_range_values_are_formatted_with_no_python_per_value(tmp_path, monkeypatch):
+    """Only the label tables, once per write, take the per-value text path."""
+    sizes = []
+
+    def recording(texts):
+        sizes.append(len(texts))
+        return text_words(texts)
+
+    text_words = crossrisk.io._text_words
+    monkeypatch.setattr(crossrisk.io, "_text_words", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_fused_csv(tmp_path / "fused.csv", LONG_TRACE, LONG_TRACE.sensor_g)
+    # the vote count (empty, or 0-4 dangerous votes) and the three decision columns
+    assert len(sizes) == 4 and max(sizes) <= 6
 
 
 def test_completed_write_replaces_the_target_with_the_mode_of_open(tmp_path):
