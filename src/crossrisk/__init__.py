@@ -60,11 +60,9 @@ from .simulate import (
     simulate_recording,
 )
 from .timeseries import (
-    EmptyOverlapError,
     TimeSeries,
     UniformGrid,
     align,
-    resample,
     smooth_trailing,
 )
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io as crio
 from .config import RunConfig, load_run_config
-from .fusion import _named, fuse_all, sensor_set_from_streams
+from .fusion import TRACKER, _sensor_set_keywords, fuse_all, sensor_set_from_streams
 from .metrics import evaluate_run
 from .simulate import load_scenario, simulate_recording
 
@@ -77,17 +77,18 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+def _named(name: str, step, *args, **kwargs):
+    """``step(*args, **kwargs)``; a ValueError from it (an overflow, say) begins with ``name``."""
+    try:
+        return step(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
 def _ingest(path: str, config: RunConfig):
     # a ValueError names the input: with several, it says which one failed
     streams = _named(path, crio.read_sensor_csv, path)
-    return _named(
-        path, sensor_set_from_streams, streams,
-        resample_hz=config.resample_hz,
-        smooth_window_rsu=config.smooth_window_rsu,
-        smooth_window_camera=config.smooth_window_camera,
-        derivative_smooth_window=config.smooth_window_derivative,
-        max_gap=config.max_gap_s,
-    )
+    return _named(path, sensor_set_from_streams, streams, **_sensor_set_keywords(config))
 
 
 def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
@@ -97,7 +98,7 @@ def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
     present = np.count_nonzero(~np.isnan(sensors.distance), axis=1)
     for sensor_id, count in zip(sensors.ids, present):
         print(f"{sensor_id:<13} {count}/{grid.count} distance points present")
-    if sensors.tracker() is None:
+    if TRACKER not in sensors.ids:
         print("tracker: absent (fuse-only recording)", file=sys.stderr)
     return 0
 
@@ -167,7 +168,7 @@ def _fuse_one(path: str, output: Path, config: RunConfig) -> list[str]:
     """Write the trace of ``path`` to ``output``; returns the warnings about ``path``."""
     sensors = _ingest(path, config)
     warnings = []
-    if sensors.tracker() is None:
+    if TRACKER not in sensors.ids:
         warnings.append(f"warning: {path}: no tracker column; evaluation disabled for this trace")
     trace = _fuse(path, sensors, config)
     crio.write_fused_csv(output, trace, trace.sensor_g)
@@ -239,7 +240,7 @@ def _same_file(a: str | Path, b: str | Path) -> bool:
 
 def _evaluate_one(path: str, config: RunConfig) -> dict:
     sensors = _ingest(path, config)
-    if sensors.tracker() is None:
+    if TRACKER not in sensors.ids:
         raise crio.SensorCsvError(f"{path}: no tracker column, cannot evaluate")
     return evaluate_run(_fuse(path, sensors, config), config.unknown_as_safe)
 
@@ -294,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the reader stopped early; point stdout elsewhere for the exit flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (OSError, ValueError) as exc:  # SensorCsvError and EmptyOverlapError among them
+    except (OSError, ValueError) as exc:  # SensorCsvError among them
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except Exception:  # pragma: no cover - defensive

@@ -18,6 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .config import RunConfig
 from .danger import (
     _DANGEROUS,
     _UNKNOWN,
@@ -27,7 +28,7 @@ from .danger import (
     _decision_codes,
 )
 from .kinematics import KinematicTrack, _derivatives, _reject_infinite
-from .timeseries import TimeSeries, UniformGrid, _frozen, _interpolate, _trailing_mean, _unchecked
+from .timeseries import TimeSeries, UniformGrid, _aligned, _frozen, _trailing_mean, _unchecked
 
 RSU = "rsu"
 CAMERA_AW = "camera_aw"
@@ -125,12 +126,10 @@ def sensor_set_from_streams(
     """Turn raw per-sensor distance streams into an aligned sensor set.
 
     Each stream is smoothed with its sensor-specific trailing window (the
-    tracker is left untouched) and resampled onto a grid spanning all
-    streams, as :func:`~crossrisk.timeseries.align` places them; the rows
-    make one frame, and one kernel call differentiates every row.
+    tracker is left untouched) and put on a grid spanning all streams by
+    :func:`~crossrisk.timeseries._aligned`; the rows make one frame, and one
+    kernel call differentiates every row.
     """
-    if not streams:
-        raise ValueError("streams must not be empty")
     windows = {
         RSU: smooth_window_rsu,
         CAMERA_AW: smooth_window_camera,
@@ -144,38 +143,29 @@ def sensor_set_from_streams(
     smoothed = []
     for s in order:
         values = streams[s].values
-        if windows[s] > 1:
+        if windows[s] != 1:
             values = _trailing_mean(values, windows[s])
             if np.isinf(values).any():  # as the smoothed series would reject it
                 raise ValueError(f"{s} distance: values must not be infinite")
         smoothed.append((streams[s].times, values))
-    start = min(times[0] for times, _ in smoothed)
-    end = max(times[-1] for times, _ in smoothed)
-    grid = UniformGrid.spanning(start, end, resample_hz, "resample_hz")
-    if max_gap <= 0:
-        raise ValueError("max_gap must be positive")
-    # rows are stacked, not resampled into a frame made first: a kernel's temporaries freed
-    # at the top of the heap went back to the system after each row, 4 500 page faults
-    # more per cold 60 001-point ingest
-    distance = np.stack([_interpolate(times, values, grid, max_gap) for times, values in smoothed])
-    if np.isinf(distance).any():  # as a resampled series would reject it
-        raise ValueError("values must not be infinite")
-    speed, acceleration = _named(
-        order[0], _derivatives, distance, grid.rate_hz, derivative_smooth_window
-    )
+    grid, distance = _aligned(smoothed, resample_hz, max_gap)
+    speed, acceleration = _derivatives(distance, grid.rate_hz, derivative_smooth_window)
     _reject_infinite(order, speed=speed, acceleration=acceleration)
     return _unchecked(
-        SensorSet, grid=grid, ids=tuple(order), distance=_frozen(distance),
+        SensorSet, grid=grid, ids=tuple(order), distance=distance,
         speed=speed, acceleration=acceleration,
     )
 
 
-def _named(name: str, step, *args, **kwargs):
-    """``step(*args, **kwargs)``; a ValueError from it (an overflow, say) begins with ``name``."""
-    try:
-        return step(*args, **kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from exc
+def _sensor_set_keywords(config: RunConfig) -> dict:
+    """The keywords of :func:`sensor_set_from_streams` at a run's settings."""
+    return dict(
+        resample_hz=config.resample_hz,
+        smooth_window_rsu=config.smooth_window_rsu,
+        smooth_window_camera=config.smooth_window_camera,
+        derivative_smooth_window=config.smooth_window_derivative,
+        max_gap=config.max_gap_s,
+    )
 
 
 def _available_mean(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,9 +199,7 @@ def fuse_all(
     fused_d, available_count = _available_mean(sensors.distance[:fusable])
     if np.isinf(fused_d).any():  # as a series of the fused distance would reject it
         raise ValueError(f"{DISTANCE_FUSION}: values must not be infinite")
-    fused_speed, fused_accel = _named(
-        DISTANCE_FUSION, _derivatives, fused_d, grid.rate_hz, derivative_smooth_window
-    )
+    fused_speed, fused_accel = _derivatives(fused_d, grid.rate_hz, derivative_smooth_window)
     _reject_infinite(
         (DISTANCE_FUSION,), speed=fused_speed[None], acceleration=fused_accel[None]
     )

@@ -23,6 +23,7 @@ from .fusion import (
     RSU,
     TRACKER,
     SensorSet,
+    _sensor_set_keywords,
     sensor_set_from_streams,
 )
 from .kinematics import KinematicTrack
@@ -282,15 +283,7 @@ def generate_run(
     """
     cfg = RunConfig() if run_config is None else run_config
     raw = simulate_recording(config, models)
-    sensors = sensor_set_from_streams(
-        raw,
-        resample_hz=cfg.resample_hz,
-        smooth_window_rsu=cfg.smooth_window_rsu,
-        smooth_window_camera=cfg.smooth_window_camera,
-        derivative_smooth_window=cfg.smooth_window_derivative,
-        max_gap=cfg.max_gap_s,
-    )
-    return SimulatedRun(raw, sensors)
+    return SimulatedRun(raw, sensor_set_from_streams(raw, **_sensor_set_keywords(cfg)))
 
 
 def scenario_from_dict(data: dict) -> tuple[ScenarioConfig, dict[str, SensorModel]]:

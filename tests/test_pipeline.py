@@ -209,6 +209,30 @@ def test_an_overflowing_row_is_named(row, derivative, window):
             differentiate(aligned[0], grid, smooth_window=1)
 
 
+STEADY = {s: TimeSeries(np.arange(40) / 100, np.full(40, 2.0)) for s in (*FUSABLE, TRACKER)}
+
+
+WINDOW_ERRORS = {
+    "smooth_window_rsu": "window must be at least 1, got {}",
+    "smooth_window_camera": "window must be at least 1, got {}",
+    "derivative_smooth_window": "smooth_window must be at least 1",
+}
+
+
+@pytest.mark.parametrize("value", [0, -4])
+@pytest.mark.parametrize("window", WINDOW_ERRORS)
+def test_a_window_below_one_is_rejected_naming_no_sensor(window, value):
+    with pytest.raises(ValueError, match=f"^{WINDOW_ERRORS[window].format(value)}$"):
+        sensor_set_from_streams(STEADY, **{window: value})
+
+
+@pytest.mark.parametrize("value", [0, -4])
+def test_a_fused_derivative_window_below_one_is_rejected_naming_no_fusion(value):
+    sensors = sensor_set_from_streams(STEADY)
+    with pytest.raises(ValueError, match="^smooth_window must be at least 1$"):
+        fuse_all(sensors, derivative_smooth_window=value)
+
+
 def _outputs(sensors, trace) -> dict[str, np.ndarray]:
     """Every per-instant output of the pipeline, as float arrays."""
     out = {f"{field}:{s}": getattr(sensors, field)[i] for i, s in enumerate(sensors.ids)
