@@ -19,13 +19,15 @@ from crossrisk import (
     TRACKER,
     Decision,
     ScenarioConfig,
-    decide,
     evaluate_run,
     fuse_all,
     sensor_set_from_streams,
     simulate_recording,
 )
+from crossrisk.fusion import DANGER_FUSION, DISTANCE_FUSION, VOTING_FUSION
 from crossrisk.io import reports_to_table
+
+DECISIONS = list(Decision)  # a trace's decision codes: 0 Safe, 1 Dangerous, 2 Unknown
 
 scenario = ScenarioConfig(
     duration=6.0,
@@ -49,11 +51,12 @@ for sensor_id, count in zip(sensors.ids, present):
 print()
 print("=== ground-truth decisions over the run (the motion tracker) ===")
 trace = fuse_all(sensors)
-decisions = [decide(g, trace.params) for g in trace.sensor_g[TRACKER].values]
-changes = [0] + [i for i in range(1, len(decisions)) if decisions[i] is not decisions[i - 1]]
-for i in changes:
+# one row per source of the sources x time frames: the sensors, then the three fusions
+row = {source: i for i, source in enumerate(trace.sources)}
+truth, vote = trace.codes[row[TRACKER]], trace.codes[row[VOTING_FUSION]]
+for i in [0, *np.flatnonzero(np.diff(truth)) + 1]:
     t = grid.times()[i]
-    print(f"  t = {t:5.2f} s -> {decisions[i].value}")
+    print(f"  t = {t:5.2f} s -> {DECISIONS[truth[i]].value}")
 print("  (danger rises while the car closes in, then falls to zero once it stops;")
 print("   the first instant is Unknown, as speed and acceleration need earlier readings,")
 print("   and the stop shows a few hundredths of a second late: the tracker's speed is a")
@@ -65,12 +68,12 @@ times = grid.times()
 for t_probe in (1.0, 2.5, 3.5, 5.5):
     i = int(np.argmin(np.abs(times - t_probe)))
     fused_d = trace.distance_fused.values[i]
-    g_dist = trace.g_distance_fusion.values[i]
-    g_avg = trace.g_danger_fusion.values[i]
+    g_dist = trace.scores[row[DISTANCE_FUSION], i]
+    g_avg = trace.scores[row[DANGER_FUSION], i]
     print(
         f"  t = {times[i]:4.2f} s: {trace.available_count[i]} sensors, "
         f"fused d = {fused_d:5.2f} m, g(distance fusion) = {g_dist:6.3f}, "
-        f"g(danger fusion) = {g_avg:6.3f}, vote = {trace.decision_vote[i].value}"
+        f"g(danger fusion) = {g_avg:6.3f}, vote = {DECISIONS[vote[i]].value}"
     )
 
 print()
@@ -80,5 +83,5 @@ print(reports_to_table(reports))
 print("(voting fusion returns a binary stream, so it has no RMSE;")
 print(" a source that never overlaps the truth would show as 'insufficient')")
 
-n_unknown = sum(d is Decision.UNKNOWN for d in trace.decision_vote)
+n_unknown = np.count_nonzero(vote == DECISIONS.index(Decision.UNKNOWN))
 print(f"voting fusion abstained entirely on {n_unknown} grid points (no sensor voting)")

@@ -36,7 +36,7 @@ _DECISIONS = np.array([Decision.SAFE, Decision.DANGEROUS, Decision.UNKNOWN], dty
 def _decision_codes(g: np.ndarray, threshold: float) -> np.ndarray:
     """Threshold scores into int8 codes: strictly above is DANGEROUS, NaN is UNKNOWN.
 
-    One byte per code: a trace keeps a code row for every sensor.
+    One byte per code: a trace keeps a code row for every source.
     """
     codes = np.asarray(g > threshold).view(np.int8)
     codes[np.isnan(g)] = _UNKNOWN
@@ -138,17 +138,19 @@ def _danger_values(
     closing_speed: np.ndarray,
     acceleration: np.ndarray,
     params: DangerParams,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized score; NaN inputs yield NaN, negative distances raise.
+    """Vectorized score, into ``out`` if given; NaN inputs yield NaN, negative distances raise.
 
     The transforms run in place on the result and one scratch array, so a
-    sensors × time frame is scored with two allocations.
+    sensors × time frame is scored with two allocations, or one into ``out``.
     """
     d = np.asarray(distance, dtype=float)
     if (d < 0).any():  # NaN compares False
         raise ValueError("distance must be non-negative")
     shape = np.broadcast_shapes(d.shape, np.shape(closing_speed), np.shape(acceleration))
-    g, scratch = np.empty(shape), np.empty(shape)
+    g = np.empty(shape) if out is None else out
+    scratch = np.empty(shape)
     # a finite speed or acceleration too large to scale saturates: clip takes the infinity
     with np.errstate(over="ignore", invalid="ignore"):
         _accel_transform(acceleration, params, scratch, g)

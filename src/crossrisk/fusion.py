@@ -36,6 +36,15 @@ CAMERA_DRONE = "camera_drone"
 TRACKER = "tracker"
 SENSOR_IDS = (RSU, CAMERA_AW, CAMERA_DRONE)
 DISTANCE_FUSION = "distance_fusion"
+DANGER_FUSION = "danger_fusion"
+VOTING_FUSION = "voting_fusion"
+
+
+def _row_order(ids) -> tuple[str, ...]:
+    """``ids`` as the rows of a sensor set: in ``SENSOR_IDS`` order, the tracker last."""
+    if unknown := set(ids) - {*SENSOR_IDS, TRACKER}:
+        raise ValueError(f"unknown sensor ids: {sorted(unknown)}")
+    return tuple(s for s in (*SENSOR_IDS, TRACKER) if s in ids)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -43,8 +52,8 @@ class SensorSet:
     """Each sensor's distance, closing speed and acceleration on one grid: a sensors × time frame.
 
     Row ``i`` of the read-only ``(len(ids), grid.count)`` arrays ``distance``, ``speed`` and
-    ``acceleration`` is sensor ``ids[i]``'s.  The tracker, when present, is the last row, so
-    the rows before it are the fusable sensors.
+    ``acceleration`` is sensor ``ids[i]``'s, in ``SENSOR_IDS`` order whatever the order given,
+    the tracker (when present) last, so the rows before it are the fusable sensors.
     """
 
     grid: UniformGrid
@@ -54,11 +63,11 @@ class SensorSet:
     acceleration: np.ndarray
 
     def __init__(self, grid: UniformGrid, tracks: Mapping[str, KinematicTrack]) -> None:
-        """Stack per-sensor tracks into a frame, the tracker's row last; for ``perfbench/``."""
+        """Stack per-sensor tracks into a frame in row order; for ``perfbench/``."""
+        ids = _row_order(tracks)
         for sensor_id, track in tracks.items():
             if track.grid != grid:
                 raise ValueError(f"track {sensor_id!r} is not on the shared grid")
-        ids = tuple(sorted(tracks, key=lambda s: s == TRACKER))  # stable: only the tracker moves
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "ids", ids)
         for name in ("distance", "speed", "acceleration"):
@@ -84,35 +93,35 @@ class SensorSet:
 
 @dataclass(frozen=True)
 class FusionTrace:
-    """Per-grid-point outputs of all three fusion architectures.
+    """Every sensor's and fusion's scores and decisions per grid point: a sources × time frame.
 
-    ``params`` are the danger parameters the trace was fused with.
-    ``sensor_g`` holds the danger-score series of every sensor in the
-    sensor set, tracker included, as scored once by :func:`fuse_all`,
-    and ``sensor_codes`` their decision codes, in the same order: rows of
-    one scores frame and one codes frame.
-    The decision streams are int codes (0 SAFE, 1 DANGEROUS,
-    2 UNKNOWN); the read-only ``decision_distance``, ``decision_danger``
-    and ``decision_vote`` decode them to ``tuple[Decision, ...]``.
+    ``sources`` is the sensor set's ids (tracker included), then the three fusions.  Row ``i``
+    of the read-only ``(len(sources), grid.count)`` frames ``scores`` and ``codes`` (int8:
+    0 SAFE, 1 DANGEROUS, 2 UNKNOWN) is ``sources[i]``'s; the vote's score row is all missing.
+    ``params`` are the danger parameters the trace was fused with.  The other names are
+    read-only row views for ``perfbench/``: ``sensor_g``, ``g_distance_fusion`` and
+    ``g_danger_fusion`` as series, ``decision_*`` as ``tuple[Decision, ...]``.
     """
 
     grid: UniformGrid
     params: DangerParams
-    available_count: np.ndarray
+    sources: tuple[str, ...]
+    scores: np.ndarray
+    codes: np.ndarray
     distance_fused: TimeSeries
-    g_distance_fusion: TimeSeries
-    g_danger_fusion: TimeSeries
-    distance_codes: np.ndarray
-    danger_codes: np.ndarray
-    vote_codes: np.ndarray
+    available_count: np.ndarray
     dangerous_votes: np.ndarray
     votes_cast: np.ndarray
-    sensor_g: Mapping[str, TimeSeries]
-    sensor_codes: Mapping[str, np.ndarray]
 
-    decision_distance = property(lambda self: _as_decisions(self.distance_codes))
-    decision_danger = property(lambda self: _as_decisions(self.danger_codes))
-    decision_vote = property(lambda self: _as_decisions(self.vote_codes))
+    def _series(self, row: np.ndarray) -> TimeSeries:
+        return _unchecked(TimeSeries, times=self.grid.times(), values=row)
+
+    sensor_g = property(lambda self: dict(zip(self.sources[:-3], map(self._series, self.scores))))
+    g_distance_fusion = property(lambda self: self._series(self.scores[-3]))
+    g_danger_fusion = property(lambda self: self._series(self.scores[-2]))
+    decision_distance = property(lambda self: _as_decisions(self.codes[-3]))
+    decision_danger = property(lambda self: _as_decisions(self.codes[-2]))
+    decision_vote = property(lambda self: _as_decisions(self.codes[-1]))
 
 
 def sensor_set_from_streams(
@@ -136,10 +145,7 @@ def sensor_set_from_streams(
         CAMERA_DRONE: smooth_window_camera,
         TRACKER: 1,
     }
-    order = [s for s in (*SENSOR_IDS, TRACKER) if s in streams]
-    unknown = set(streams) - set(windows)
-    if unknown:
-        raise ValueError(f"unknown sensor ids: {sorted(unknown)}")
+    order = _row_order(streams)
     smoothed = []
     for s in order:
         values = streams[s].values
@@ -152,7 +158,7 @@ def sensor_set_from_streams(
     speed, acceleration = _derivatives(distance, grid.rate_hz, derivative_smooth_window)
     _reject_infinite(order, speed=speed, acceleration=acceleration)
     return _unchecked(
-        SensorSet, grid=grid, ids=tuple(order), distance=distance,
+        SensorSet, grid=grid, ids=order, distance=distance,
         speed=speed, acceleration=acceleration,
     )
 
@@ -185,12 +191,13 @@ def fuse_all(
     params: DangerParams = DangerParams(),
     derivative_smooth_window: int = 5,
 ) -> FusionTrace:
-    """Run all three fusion architectures over one sensor set.
+    """Run all three fusion architectures over one sensor set into one sources × time frame.
 
     The available sensors' mean distance goes through the same
     differentiation and scoring kernels as the sensor frame, so the
     distance-fusion decision stream is produced by one ordinary pipeline
-    run on averaged input.  The frame itself is scored and thresholded once.
+    run on averaged input.  Every score row is written into one frame,
+    and one threshold call gives every row's codes but the vote's.
     """
     grid = sensors.grid
     fusable = len(sensors.ids) - (TRACKER in sensors.ids)  # the rows before the tracker's
@@ -203,30 +210,25 @@ def fuse_all(
     _reject_infinite(
         (DISTANCE_FUSION,), speed=fused_speed[None], acceleration=fused_accel[None]
     )
-    g_distance = _frozen(_danger_values(fused_d, fused_speed, fused_accel, params))
-    g = _frozen(_danger_values(sensors.distance, sensors.speed, sensors.acceleration, params))
-    codes = _frozen(_decision_codes(g, params.threshold))
-    g_danger = _frozen(_available_mean(g[:fusable])[0])
+    scores = np.empty((len(sensors.ids) + 3, grid.count))  # the sensors', then the fusions' rows
+    _danger_values(fused_d, fused_speed, fused_accel, params, out=scores[-3])
+    _danger_values(sensors.distance, sensors.speed, sensors.acceleration, params, out=scores[:-3])
+    scores[-2] = _available_mean(scores[:fusable])[0]
+    scores[-1] = np.nan  # the vote has no score
+    codes = _decision_codes(scores, params.threshold)
 
     # each sensor votes its threshold decision; UNKNOWN abstains, ties go DANGEROUS
     dangerous = (codes[:fusable] == _DANGEROUS).sum(axis=0)
     cast = (codes[:fusable] != _UNKNOWN).sum(axis=0)
-    vote = np.where(cast == 0, _UNKNOWN, 2 * dangerous >= cast)
-    times = grid.times()
+    codes[-1] = np.where(cast == 0, _UNKNOWN, 2 * dangerous >= cast)
     return FusionTrace(
         grid=grid,
         params=params,
+        sources=(*sensors.ids, DISTANCE_FUSION, DANGER_FUSION, VOTING_FUSION),
+        scores=_frozen(scores),
+        codes=_frozen(codes),
+        distance_fused=_unchecked(TimeSeries, times=grid.times(), values=_frozen(fused_d)),
         available_count=available_count,
-        distance_fused=_unchecked(TimeSeries, times=times, values=_frozen(fused_d)),
-        g_distance_fusion=_unchecked(TimeSeries, times=times, values=g_distance),
-        g_danger_fusion=_unchecked(TimeSeries, times=times, values=g_danger),
-        distance_codes=_decision_codes(g_distance, params.threshold),
-        danger_codes=_decision_codes(g_danger, params.threshold),
-        vote_codes=vote,
         dangerous_votes=dangerous,
         votes_cast=cast,
-        sensor_g={
-            s: _unchecked(TimeSeries, times=times, values=row) for s, row in zip(sensors.ids, g)
-        },
-        sensor_codes=dict(zip(sensors.ids, codes)),
     )

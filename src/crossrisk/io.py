@@ -313,27 +313,22 @@ def write_fused_csv(
     """Write the per-instant fusion trace.
 
     ``sensor_g`` maps sensor ids to their danger-score series (``None``
-    for a sensor absent from the recording, e.g. no tracker).  The
-    ``vote`` column carries the number of DANGEROUS votes among the
-    sensors that voted, empty when none did.
+    for a sensor absent from the recording, e.g. no tracker); the CLI
+    passes ``trace.sensor_g``.  The fused columns are the trace's last
+    three rows.  The ``vote`` column carries the number of DANGEROUS
+    votes among the sensors that voted, empty when none did.
     """
     times = trace.grid.times()
     floats = [times]
     for sensor_id in (RSU, CAMERA_AW, CAMERA_DRONE, TRACKER):
         series = sensor_g.get(sensor_id)
         floats.append(np.full(times.size, np.nan) if series is None else series.values)
-    floats += [
-        trace.distance_fused.values,
-        trace.g_distance_fusion.values,
-        trace.g_danger_fusion.values,
-    ]
+    floats += [trace.distance_fused.values, *trace.scores[-3:-1]]
     # count code 0 prints empty (nobody voted), code k + 1 prints k
     count_codes = np.where(trace.votes_cast == 0, 0, trace.dangerous_votes + 1)
     count_labels = [b""] + [b"%d" % k for k in range(count_codes.max(initial=0))]
-    labels = [(count_codes, count_labels)] + [
-        (codes, _DECISION_LABELS)
-        for codes in (trace.distance_codes, trace.danger_codes, trace.vote_codes)
-    ]
+    labels = [(count_codes, count_labels)]
+    labels += [(codes, _DECISION_LABELS) for codes in trace.codes[-3:]]
     with _replacing(path) as fh:
         fh.write((",".join(FUSED_HEADER) + "\n").encode())
         _write_rows(fh, floats, labels)

@@ -20,19 +20,10 @@ from .danger import (
     Decision,
     _as_codes,
 )
-from .fusion import CAMERA_AW, CAMERA_DRONE, DISTANCE_FUSION, RSU, TRACKER, FusionTrace
+from .fusion import DANGER_FUSION, DISTANCE_FUSION, SENSOR_IDS, TRACKER, VOTING_FUSION, FusionTrace
 from .timeseries import TimeSeries
 
-DANGER_FUSION = "danger_fusion"
-VOTING_FUSION = "voting_fusion"
-EVALUATION_SOURCES = (
-    RSU,
-    CAMERA_AW,
-    CAMERA_DRONE,
-    DISTANCE_FUSION,
-    DANGER_FUSION,
-    VOTING_FUSION,
-)
+EVALUATION_SOURCES = (*SENSOR_IDS, DISTANCE_FUSION, DANGER_FUSION, VOTING_FUSION)
 
 
 class InsufficientDataError(ValueError):
@@ -67,10 +58,18 @@ def rmse(predicted: TimeSeries, truth: TimeSeries) -> float:
         len(predicted) != len(truth) or not np.array_equal(predicted.times, truth.times)
     ):
         raise ValueError("series must share the same grid")
-    both = predicted.present & truth.present
-    if not np.any(both):
+    error = _rmse(predicted.values, truth.values)
+    if error is None:
         raise InsufficientDataError("no jointly present points")
-    diff = predicted.values[both] - truth.values[both]
+    return error
+
+
+def _rmse(predicted: np.ndarray, truth: np.ndarray) -> float | None:
+    """Kernel of :func:`rmse` over two score rows; None where no instant has both."""
+    both = ~np.isnan(predicted) & ~np.isnan(truth)
+    if not both.any():
+        return None
+    diff = predicted[both] - truth[both]
     return float(np.sqrt(np.mean(diff * diff)))
 
 
@@ -78,10 +77,9 @@ def _report(
     predicted: np.ndarray,
     truth: np.ndarray,
     unknown_as_safe: bool,
-    predicted_g: TimeSeries | None = None,
-    truth_g: TimeSeries | None = None,
+    error: float | None = None,
 ) -> EvaluationReport:
-    """Report over int decision codes; RMSE only when ``predicted_g`` is given."""
+    """Report over int decision codes, with the source's RMSE ``error``."""
     if len(predicted) != len(truth):
         raise ValueError("decision streams must have equal length")
     # counts[t, p]: instants with truth code t and predicted code p
@@ -95,12 +93,6 @@ def _report(
     excluded = len(truth) - evaluated
     if evaluated == 0:
         raise InsufficientDataError("no jointly classified points")
-    error = None
-    if predicted_g is not None:
-        try:
-            error = rmse(predicted_g, truth_g)
-        except InsufficientDataError:  # no shared score; classified by unknown_as_safe
-            pass
     return EvaluationReport(
         rmse=error,
         accuracy=(tp + tn) / evaluated,
@@ -128,8 +120,12 @@ def evaluate_source(
     Kept for ``perfbench/bench_harness.py``, whose independent check of
     ``evaluate --json`` builds its reports here (ROADMAP open item 2).
     """
+    try:
+        error = None if predicted_g is None else rmse(predicted_g, truth_g)
+    except InsufficientDataError:  # no shared score; classified by unknown_as_safe
+        error = None
     predicted, truth = _as_codes(predicted_decisions), _as_codes(truth_decisions)
-    return _report(predicted, truth, unknown_as_safe, predicted_g, truth_g)
+    return _report(predicted, truth, unknown_as_safe, error)
 
 
 def evaluate_run(
@@ -137,33 +133,27 @@ def evaluate_run(
 ) -> dict[str, EvaluationReport | None]:
     """Evaluate every sensor and fusion architecture against the tracker.
 
-    Reads the per-sensor scores and decision codes :func:`fuse_all` stored
-    in the trace.  A source with no jointly classified instant (e.g. a
-    camera that never detected the obstacle) maps to ``None`` instead of a
-    report.
+    Reads the trace's frames row by row: each source but the tracker is
+    compared with the tracker's row, its RMSE over the plain score rows (so
+    the vote, whose score row is all missing, gets ``rmse=None``).  A source
+    with no jointly classified instant (e.g. a camera that never detected
+    the obstacle) maps to ``None`` instead of a report.
 
     Raises
     ------
     ValueError
         If the trace carries no tracker scores.
     """
-    truth_g = trace.sensor_g.get(TRACKER)
-    if truth_g is None:
+    if TRACKER not in trace.sources:
         raise ValueError("trace has no tracker scores to evaluate against")
-    truth = trace.sensor_codes[TRACKER]
-    candidates = {
-        source: (g, trace.sensor_codes[source])
-        for source, g in trace.sensor_g.items()
-        if source != TRACKER
-    }
-    candidates[DISTANCE_FUSION] = (trace.g_distance_fusion, trace.distance_codes)
-    candidates[DANGER_FUSION] = (trace.g_danger_fusion, trace.danger_codes)
-    candidates[VOTING_FUSION] = (None, trace.vote_codes)
-
+    row = trace.sources.index(TRACKER)
+    truth_g, truth = trace.scores[row], trace.codes[row]
     reports: dict[str, EvaluationReport | None] = {}
-    for source, (g, codes) in candidates.items():
+    for source, g, codes in zip(trace.sources, trace.scores, trace.codes):
+        if source == TRACKER:
+            continue
         try:
-            reports[source] = _report(codes, truth, unknown_as_safe, g, truth_g)
+            reports[source] = _report(codes, truth, unknown_as_safe, _rmse(g, truth_g))
         except InsufficientDataError:
             reports[source] = None
     return reports

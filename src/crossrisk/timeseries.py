@@ -290,14 +290,15 @@ def _aligned(
 
     The grid (:meth:`UniformGrid.spanning`, naming the rate ``resample_hz``) spans the union
     of the channels' time ranges.  Row ``i`` of the ``(len(rows), grid.count)`` frame is
-    channel ``i`` placed by :func:`_interpolate`, missing outside its own coverage.  An
-    interpolated value past float64's range is a ValueError, as a series would raise.
+    channel ``i`` placed by :func:`_interpolate`, missing outside its own coverage (an empty
+    channel's row is all missing).  No timestamp in any channel, or an interpolated value past
+    float64's range, is a ValueError.
     """
-    if not rows:
+    spans = [(times[0], times[-1]) for times, _ in rows if times.size]
+    if not spans:
         raise ValueError("nothing to align")
-    start = min(times[0] for times, _ in rows)
-    end = max(times[-1] for times, _ in rows)
-    grid = UniformGrid.spanning(start, end, rate_hz, "resample_hz")
+    starts, ends = zip(*spans)
+    grid = UniformGrid.spanning(min(starts), max(ends), rate_hz, "resample_hz")
     if max_gap <= 0:
         raise ValueError("max_gap must be positive")
     # rows are stacked, not interpolated into a frame made first: a kernel's temporaries freed

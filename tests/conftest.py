@@ -19,6 +19,12 @@ from crossrisk import (
 from crossrisk.simulate import _truth_state
 
 
+def same_bits(got, expected) -> None:
+    """Float arrays equal bit for bit, NaN included."""
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def series_on_grid(values, rate_hz: float = 100.0, start: float = 0.0) -> TimeSeries:
     """Series with the given values on a uniform grid (NaN = missing)."""
     values = np.asarray(values, dtype=float)

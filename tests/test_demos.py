@@ -20,6 +20,7 @@ def test_demo_runs(demo, tmp_path):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     env["TMPDIR"] = str(tmp_path)  # demo 04 leaves its artifacts in a temp dir
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"  # as the test suite runs the package
     result = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
@@ -29,3 +30,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""

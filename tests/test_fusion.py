@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tempfile
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from crossrisk import (
     ScenarioConfig,
     CameraSensorModel,
     SensorSet,
+    TimeSeries,
     danger_series,
     decisions_from_series,
     fuse_all,
@@ -27,11 +29,16 @@ from crossrisk import (
     sensor_set_from_streams,
     simulate_recording,
 )
+from crossrisk.fusion import DANGER_FUSION, DISTANCE_FUSION, VOTING_FUSION
 from crossrisk.io import write_fused_csv
 
-from conftest import track_from_distances
+from conftest import same_bits, track_from_distances
 
 PARAMS = DangerParams()
+FUSIONS = (DISTANCE_FUSION, DANGER_FUSION, VOTING_FUSION)
+# the golden scenario's motion
+BRAKING = dict(duration=6.0, initial_distance=4.0, initial_speed=0.7,
+               segments=((2.5, 0.2), (2.0, -0.6), (1.5, 0.0)))
 
 
 def sensor_set(per_sensor_distances: dict[str, np.ndarray], rate_hz: float = 10.0) -> SensorSet:
@@ -76,6 +83,46 @@ class TestSensorSet:
                     getattr(track, field), getattr(tracks[sensor_id], field)
                 )
         np.testing.assert_array_equal(fuse_all(sensors).distance_fused.values, tracks[RSU].distance)
+
+    def test_rows_follow_the_sensor_ids_whatever_the_mapping_order(self):
+        camera = CameraSensorModel(detection_range=np.inf)
+        streams = simulate_recording(
+            ScenarioConfig(**BRAKING, seed=3), {CAMERA_AW: camera, CAMERA_DRONE: camera}
+        )
+        tracks = sensor_set_from_streams(streams).tracks
+        grid = next(iter(tracks.values())).grid
+        canonical = SensorSet(grid, tracks)
+        expected = fuse_all(canonical)
+        assert canonical.ids == (RSU, CAMERA_AW, CAMERA_DRONE, TRACKER)
+        for order in permutations(tracks):
+            sensors = SensorSet(grid, {s: tracks[s] for s in order})
+            assert sensors.ids == canonical.ids, order
+            for field in ("distance", "speed", "acceleration"):
+                same_bits(getattr(sensors, field), getattr(canonical, field))
+            trace = fuse_all(sensors)
+            assert trace.sources == expected.sources
+            same_bits(trace.scores, expected.scores)
+            same_bits(trace.distance_fused.values, expected.distance_fused.values)
+            np.testing.assert_array_equal(trace.codes, expected.codes)
+
+    def test_an_unknown_sensor_id_is_rejected_by_both_constructors(self):
+        track = track_from_distances(np.full(10, 2.0))
+        with pytest.raises(ValueError, match=r"^unknown sensor ids: \['lidar'\]$"):
+            SensorSet(track.grid, {RSU: track, "lidar": track})
+        series = TimeSeries(np.arange(10) / 100, np.full(10, 2.0))
+        with pytest.raises(ValueError, match=r"^unknown sensor ids: \['lidar'\]$"):
+            sensor_set_from_streams({RSU: series, "lidar": series})
+
+    def test_an_empty_stream_is_a_sensor_with_no_reading(self):
+        ok, empty = TimeSeries(np.arange(10) / 100, np.full(10, 2.0)), TimeSeries([], [])
+        sensors = sensor_set_from_streams({RSU: ok, CAMERA_AW: empty})
+        assert sensors.ids == (RSU, CAMERA_AW)
+        assert sensors.grid == sensor_set_from_streams({RSU: ok}).grid
+        assert not np.isnan(sensors.distance[0]).any() and np.isnan(sensors.distance[1]).all()
+        with pytest.raises(ValueError, match="^nothing to align$"):
+            sensor_set_from_streams({RSU: empty})
+        with pytest.raises(ValueError, match="^nothing to align$"):
+            sensor_set_from_streams({RSU: empty, TRACKER: empty})
 
     def test_tracker_only_set_has_nothing_to_fuse(self):
         sensors = sensor_set({TRACKER: np.full(10, 9.0)})
@@ -311,13 +358,7 @@ def _fused_bytes(trace) -> bytes:
     data=st.data(),
 )
 def test_outputs_do_not_depend_on_stream_order(seed, detection_range, with_tracker, data):
-    config = ScenarioConfig(
-        duration=6.0,
-        initial_distance=4.0,
-        initial_speed=0.7,
-        segments=((2.5, 0.2), (2.0, -0.6), (1.5, 0.0)),
-        seed=seed,
-    )
+    config = ScenarioConfig(**BRAKING, seed=seed)
     camera = CameraSensorModel(detection_range=detection_range)
     streams = simulate_recording(config, {CAMERA_AW: camera, CAMERA_DRONE: camera})
     if not with_tracker:
@@ -327,14 +368,11 @@ def test_outputs_do_not_depend_on_stream_order(seed, detection_range, with_track
     shuffled = fuse_all(sensor_set_from_streams({s: streams[s] for s in order}))
 
     assert shuffled.grid == canonical.grid
-    assert list(shuffled.sensor_g) == list(canonical.sensor_g)
-    for sensor_id, series in canonical.sensor_g.items():
-        np.testing.assert_array_equal(shuffled.sensor_g[sensor_id].values, series.values)
-    for name in ("distance_fused", "g_distance_fusion", "g_danger_fusion"):
-        np.testing.assert_array_equal(
-            getattr(shuffled, name).values, getattr(canonical, name).values
-        )
-    for name in ("available_count", "distance_codes", "danger_codes", "vote_codes",
-                 "dangerous_votes", "votes_cast"):
+    sensor_ids = [s for s in (RSU, CAMERA_AW, CAMERA_DRONE, TRACKER) if s in streams]
+    assert shuffled.sources == canonical.sources == (*sensor_ids, *FUSIONS)
+    for name in ("scores", "codes"):
+        np.testing.assert_array_equal(getattr(shuffled, name), getattr(canonical, name))
+    np.testing.assert_array_equal(shuffled.distance_fused.values, canonical.distance_fused.values)
+    for name in ("available_count", "dangerous_votes", "votes_cast"):
         np.testing.assert_array_equal(getattr(shuffled, name), getattr(canonical, name))
     assert _fused_bytes(shuffled) == _fused_bytes(canonical)

@@ -35,15 +35,13 @@ from crossrisk import (
 )
 from crossrisk.metrics import DANGER_FUSION, DISTANCE_FUSION, VOTING_FUSION
 
+from conftest import same_bits
+
 FUSABLE = (RSU, CAMERA_AW, CAMERA_DRONE)
 CODES = {Decision.SAFE: 0, Decision.DANGEROUS: 1, Decision.UNKNOWN: 2}
+DECISIONS = {code: decision for decision, code in CODES.items()}
 # epoch starts, two of them with a grid that crosses 2**31 s
 STARTS = [0.0, 0.37, 1.729e9 + 0.3, 2.0**31 - 0.25, 2.0**31 - 1.5, 2.0**30 - 0.2]
-
-
-def same_bits(got, expected) -> None:
-    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
-    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 @st.composite
@@ -121,15 +119,16 @@ def test_frame_equals_the_per_sensor_pipeline(streams, windows, threshold):
     grid, tracks, scores, decisions = per_sensor_reference(streams, windows, params)
 
     assert sensors.grid == grid and list(sensors.ids) == list(tracks)
-    assert list(trace.sensor_g) == list(tracks) == list(trace.sensor_codes)
+    assert trace.sources == (*tracks, DISTANCE_FUSION, DANGER_FUSION, VOTING_FUSION)
+    assert trace.scores.shape == trace.codes.shape == (len(trace.sources), grid.count)
+    assert trace.codes.dtype == np.int8
+    assert not trace.scores.flags.writeable and not trace.codes.flags.writeable
     for i, (sensor, track) in enumerate(tracks.items()):
         for field in ("distance", "speed", "acceleration"):
             same_bits(getattr(sensors, field)[i], getattr(track, field))
             same_bits(getattr(sensors.tracks[sensor], field), getattr(track, field))
-        same_bits(trace.sensor_g[sensor].values, scores[sensor].values)
-        assert trace.sensor_g[sensor].times is sensors.grid.times()
-        codes = [CODES[d] for d in decisions[sensor]]
-        np.testing.assert_array_equal(trace.sensor_codes[sensor], codes)
+        same_bits(trace.scores[i], scores[sensor].values)
+        np.testing.assert_array_equal(trace.codes[i], [CODES[d] for d in decisions[sensor]])
 
     fusable = [s for s in FUSABLE if s in tracks]
     fused = available_mean([tracks[s].distance for s in fusable])
@@ -137,20 +136,36 @@ def test_frame_equals_the_per_sensor_pipeline(streams, windows, threshold):
     fused_track = differentiate(TimeSeries(grid.times(), fused), grid,
                                 smooth_window=windows["derivative_smooth_window"])
     fused_g = danger_series(fused_track, params)
-    same_bits(trace.g_distance_fusion.values, fused_g.values)
-    same_bits(trace.g_danger_fusion.values, available_mean([scores[s].values for s in fusable]))
+    danger_g = TimeSeries(grid.times(), available_mean([scores[s].values for s in fusable]))
     distance_decisions = decisions_from_series(fused_g, params)
-    assert trace.decision_distance == distance_decisions
-    assert trace.decision_danger == decisions_from_series(trace.g_danger_fusion, params)
-
+    danger_decisions = decisions_from_series(danger_g, params)
     # each sensor votes its decision; Unknown abstains, a tie goes Dangerous
     votes = np.array([[CODES[d] for d in decisions[s]] for s in fusable])
     dangerous, cast = (votes == 1).sum(axis=0), (votes != 2).sum(axis=0)
     np.testing.assert_array_equal(trace.dangerous_votes, dangerous)
     np.testing.assert_array_equal(trace.votes_cast, cast)
-    np.testing.assert_array_equal(
-        trace.vote_codes, np.where(cast == 0, 2, np.where(2 * dangerous >= cast, 1, 0))
-    )
+    vote_codes = np.where(cast == 0, 2, np.where(2 * dangerous >= cast, 1, 0))
+    vote_decisions = tuple(DECISIONS[code] for code in vote_codes)
+
+    distance_row, danger_row, vote_row = range(len(tracks), len(tracks) + 3)
+    same_bits(trace.scores[distance_row], fused_g.values)
+    same_bits(trace.scores[danger_row], danger_g.values)
+    assert np.isnan(trace.scores[vote_row]).all()  # the vote has no score
+    np.testing.assert_array_equal(trace.codes[distance_row],
+                                  [CODES[d] for d in distance_decisions])
+    np.testing.assert_array_equal(trace.codes[danger_row], [CODES[d] for d in danger_decisions])
+    np.testing.assert_array_equal(trace.codes[vote_row], vote_codes)
+
+    # the row views kept for perfbench/ read the same rows
+    assert list(trace.sensor_g) == list(tracks)
+    for sensor, series in trace.sensor_g.items():
+        same_bits(series.values, scores[sensor].values)
+        assert series.times is sensors.grid.times()
+    same_bits(trace.g_distance_fusion.values, fused_g.values)
+    same_bits(trace.g_danger_fusion.values, danger_g.values)
+    assert trace.decision_distance == distance_decisions
+    assert trace.decision_danger == danger_decisions
+    assert trace.decision_vote == vote_decisions
 
     if TRACKER not in tracks:
         with pytest.raises(ValueError, match="tracker"):
@@ -158,8 +173,8 @@ def test_frame_equals_the_per_sensor_pipeline(streams, windows, threshold):
         return
     candidates = {s: (scores[s], decisions[s]) for s in fusable}
     candidates[DISTANCE_FUSION] = (fused_g, distance_decisions)
-    candidates[DANGER_FUSION] = (trace.g_danger_fusion, trace.decision_danger)
-    candidates[VOTING_FUSION] = (None, trace.decision_vote)
+    candidates[DANGER_FUSION] = (danger_g, danger_decisions)
+    candidates[VOTING_FUSION] = (None, vote_decisions)
     for unknown_as_safe in (False, True):
         reports = evaluate_run(trace, unknown_as_safe)
         assert list(reports) == list(candidates)
@@ -237,12 +252,10 @@ def _outputs(sensors, trace) -> dict[str, np.ndarray]:
     """Every per-instant output of the pipeline, as float arrays."""
     out = {f"{field}:{s}": getattr(sensors, field)[i] for i, s in enumerate(sensors.ids)
            for field in ("distance", "speed", "acceleration")}
-    out.update({f"g:{s}": g.values for s, g in trace.sensor_g.items()})
-    out.update({f"codes:{s}": c for s, c in trace.sensor_codes.items()})
-    for name in ("distance_fused", "g_distance_fusion", "g_danger_fusion"):
-        out[name] = getattr(trace, name).values
-    for name in ("available_count", "distance_codes", "danger_codes", "vote_codes",
-                 "dangerous_votes", "votes_cast"):
+    out.update({f"scores:{s}": row for s, row in zip(trace.sources, trace.scores)})
+    out.update({f"codes:{s}": row for s, row in zip(trace.sources, trace.codes)})
+    out["distance_fused"] = trace.distance_fused.values
+    for name in ("available_count", "dangerous_votes", "votes_cast"):
         out[name] = getattr(trace, name)
     return {name: np.asarray(values, dtype=float) for name, values in out.items()}
 

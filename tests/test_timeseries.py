@@ -375,6 +375,15 @@ class TestAlign:
         with pytest.raises(ValueError):
             align([], 10.0)
 
+    def test_an_empty_series_is_all_missing_on_the_others_grid(self):
+        ok, empty = series_on_grid([1.0, 2.0, 3.0], rate_hz=2.0), TimeSeries([], [])
+        grid, (aligned, blank) = align([ok, empty], 2.0)
+        assert grid == align([ok], 2.0)[0]
+        assert nan_equal(aligned.values, [1.0, 2.0, 3.0])
+        assert np.isnan(blank.values).all() and len(blank) == grid.count
+        with pytest.raises(ValueError, match="^nothing to align$"):
+            align([empty, empty], 2.0)
+
     @settings(deadline=None, max_examples=200)
     @given(
         start=st.one_of(st.floats(0.0, 2.0), st.floats(1.6e9, 1.8e9)),
