@@ -51,7 +51,7 @@ def _as_codes(decisions) -> np.ndarray:
     """Inverse of :func:`_as_decisions` for a sequence of :class:`Decision`.
 
     Kept for :func:`~crossrisk.metrics.evaluate_source` and so for the
-    benchmark's independent check of ``evaluate --json`` (ROADMAP open item 2).
+    benchmark's independent check of ``evaluate --json`` (ROADMAP open item 4).
     """
     labels = np.fromiter(decisions, dtype=object, count=len(decisions))
     return np.where(labels == Decision.UNKNOWN, _UNKNOWN, labels == Decision.DANGEROUS)

@@ -98,13 +98,12 @@ class FusionTrace:
     ``sources`` is the sensor set's ids (tracker included), then the three fusions.  Row ``i``
     of the read-only ``(len(sources), grid.count)`` frames ``scores`` and ``codes`` (int8:
     0 SAFE, 1 DANGEROUS, 2 UNKNOWN) is ``sources[i]``'s; the vote's score row is all missing.
-    ``params`` are the danger parameters the trace was fused with.  The other names are
-    read-only row views for ``perfbench/``: ``sensor_g``, ``g_distance_fusion`` and
-    ``g_danger_fusion`` as series, ``decision_*`` as ``tuple[Decision, ...]``.
+    The other names are read-only row views for ``perfbench/``: ``sensor_g``,
+    ``g_distance_fusion`` and ``g_danger_fusion`` as series, ``decision_*`` as
+    ``tuple[Decision, ...]``.
     """
 
     grid: UniformGrid
-    params: DangerParams
     sources: tuple[str, ...]
     scores: np.ndarray
     codes: np.ndarray
@@ -146,15 +145,14 @@ def sensor_set_from_streams(
         TRACKER: 1,
     }
     order = _row_order(streams)
-    smoothed = []
-    for s in order:
-        values = streams[s].values
-        if windows[s] != 1:
-            values = _trailing_mean(values, windows[s])
-            if np.isinf(values).any():  # as the smoothed series would reject it
-                raise ValueError(f"{s} distance: values must not be infinite")
-        smoothed.append((streams[s].times, values))
-    grid, distance = _aligned(smoothed, resample_hz, max_gap)
+    smoothed = [
+        streams[s].values if windows[s] == 1 else _trailing_mean(streams[s].values, windows[s])
+        for s in order
+    ]
+    _reject_infinite(order, distance=smoothed)
+    grid, distance = _aligned(
+        [(streams[s].times, values) for s, values in zip(order, smoothed)], resample_hz, max_gap
+    )
     speed, acceleration = _derivatives(distance, grid.rate_hz, derivative_smooth_window)
     _reject_infinite(order, speed=speed, acceleration=acceleration)
     return _unchecked(
@@ -204,11 +202,10 @@ def fuse_all(
     if not fusable:
         raise ValueError("no fusable sensors")
     fused_d, available_count = _available_mean(sensors.distance[:fusable])
-    if np.isinf(fused_d).any():  # as a series of the fused distance would reject it
-        raise ValueError(f"{DISTANCE_FUSION}: values must not be infinite")
     fused_speed, fused_accel = _derivatives(fused_d, grid.rate_hz, derivative_smooth_window)
     _reject_infinite(
-        (DISTANCE_FUSION,), speed=fused_speed[None], acceleration=fused_accel[None]
+        (DISTANCE_FUSION,),
+        distance=fused_d[None], speed=fused_speed[None], acceleration=fused_accel[None],
     )
     scores = np.empty((len(sensors.ids) + 3, grid.count))  # the sensors', then the fusions' rows
     _danger_values(fused_d, fused_speed, fused_accel, params, out=scores[-3])
@@ -223,7 +220,6 @@ def fuse_all(
     codes[-1] = np.where(cast == 0, _UNKNOWN, 2 * dangerous >= cast)
     return FusionTrace(
         grid=grid,
-        params=params,
         sources=(*sensors.ids, DISTANCE_FUSION, DANGER_FUSION, VOTING_FUSION),
         scores=_frozen(scores),
         codes=_frozen(codes),

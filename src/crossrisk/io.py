@@ -234,22 +234,25 @@ def read_sensor_csv(path: str | Path) -> dict[str, TimeSeries]:
     """Read a sensor recording into per-sensor distance streams.
 
     The header must start with ``timestamp,distance_range,
-    distance_wheelchair,distance_drone``; the ``distance_tracker`` column
-    is optional (recordings without ground truth can still be fused) and
-    any further columns are ignored.  Rows follow :func:`_blocks`; an
-    error names the row (the CSV record, the header being row 1).
-    Blocks of rows become floats as they arrive; each check then runs
-    once over whole columns, and only a failed one re-reads the file.
+    distance_wheelchair,distance_drone``; the first ``distance_tracker``
+    column after them, wherever it stands, is optional (recordings without
+    ground truth can still be fused) and any other column is ignored.
+    Rows follow :func:`_blocks`; an error names the row (the CSV record,
+    the header being row 1).  Blocks of rows become floats as they arrive;
+    each check then runs once over whole columns, and only a failed one
+    re-reads the file.
     """
     blocks = _blocks(path)
     names = [name.strip() for name in next(blocks)]
-    names = names[: 5 if names[4:5] == ["distance_tracker"] else 4]
-    parts: list[list[np.ndarray]] = [[] for _ in names]
-    empty = [0] * len(names)
+    tracker = names.index("distance_tracker", 4) if "distance_tracker" in names[4:] else None
+    names = [name if k < 4 or k == tracker else None for k, name in enumerate(names)]
+    read = [k for k, name in enumerate(names) if name is not None]
+    parts: list[list[np.ndarray]] = [[] for _ in read]
+    empty = [0] * len(read)
     if names[:4] == _REQUIRED_HEADER:
         try:
             for block in blocks:
-                for k, cells in enumerate(block[: len(names)]):
+                for k, cells in enumerate(block[i] for i in read):
                     parts[k].append(_parse_column(cells))
                     empty[k] += cells.count("")
         except ValueError:  # a bad cell, a short row or a read error
@@ -372,13 +375,14 @@ def _blocks(path: str | Path):
             _raise_first_fault(path)
 
 
-def _raise_first_fault(path: str | Path, names: list[str] | None = None) -> NoReturn:
+def _raise_first_fault(path: str | Path, names: list[str | None] | None = None) -> NoReturn:
     """Re-read ``path`` one record at a time and raise its first fault, in file order.
 
     In any CSV a fault is a read error or a non-blank row shorter than the
     header, each naming its line.  In a recording, whose header reads
-    ``names``, the header comes first, and a row's cells are checked left
-    to right (:func:`_cell_fault`), a fault naming the row.
+    ``names`` (None for a column that is not read), the header comes first,
+    and the cells a row's read columns hold are checked left to right
+    (:func:`_cell_fault`), a fault naming the row.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -397,7 +401,7 @@ def _raise_first_fault(path: str | Path, names: list[str] | None = None) -> NoRe
                     )
                 if names is not None:
                     for name, cell in zip(names, row):
-                        if fault := _cell_fault(name, cell, before):
+                        if name is not None and (fault := _cell_fault(name, cell, before)):
                             raise SensorCsvError(f"row {row_no}: {fault}")
                     before = float(row[0])
         except csv.Error as exc:

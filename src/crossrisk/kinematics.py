@@ -123,14 +123,14 @@ def _derivatives(
     return _frozen(speed), _frozen(accel)
 
 
-def _reject_infinite(ids, **frames: np.ndarray) -> None:
+def _reject_infinite(ids, **frames) -> None:
     """Raise ``<id>: <name> must not be infinite`` for the first row, in ``ids`` order, of the
-    ``(len(ids), count)`` arrays ``frames`` that holds an infinity, as a track would."""
-    if any(np.isinf(frame).any() for frame in frames.values()):
-        for i, row_id in enumerate(ids):
-            for name, frame in frames.items():
-                if np.isinf(frame[i]).any():
-                    raise ValueError(f"{row_id}: {name} must not be infinite")
+    ``frames`` that holds an infinity, as a track would.  Each frame holds one row per id,
+    the rows of any lengths."""
+    for i, row_id in enumerate(ids):
+        for name, rows in frames.items():
+            if np.isinf(rows[i]).any():
+                raise ValueError(f"{row_id}: {name} must not be infinite")
 
 
 def time_to_cross(model: CrossingModel) -> float:

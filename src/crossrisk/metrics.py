@@ -118,7 +118,7 @@ def evaluate_source(
 
     With ``unknown_as_safe`` an UNKNOWN prediction counts as a SAFE call.
     Kept for ``perfbench/bench_harness.py``, whose independent check of
-    ``evaluate --json`` builds its reports here (ROADMAP open item 2).
+    ``evaluate --json`` builds its reports here (ROADMAP open item 4).
     """
     try:
         error = None if predicted_g is None else rmse(predicted_g, truth_g)

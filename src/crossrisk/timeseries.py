@@ -90,11 +90,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return int(self.times.size)
 
-    @property
-    def present(self) -> np.ndarray:
-        """Boolean mask of instants with an actual reading."""
-        return ~np.isnan(self.values)
-
 
 def _is_finite_real(value) -> bool:
     """A finite real that is not a bool (an int too large for a float is not finite)."""

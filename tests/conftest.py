@@ -5,18 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from crossrisk import (
-    DangerParams,
-    Decision,
-    KinematicTrack,
-    ScenarioConfig,
-    TimeSeries,
-    UniformGrid,
-    danger_series,
-    decide,
-    differentiate,
-)
+from crossrisk import DangerParams, Decision, ScenarioConfig, danger_series, decide
+from crossrisk.kinematics import KinematicTrack, differentiate
 from crossrisk.simulate import _truth_state
+from crossrisk.timeseries import TimeSeries, UniformGrid
 
 
 def same_bits(got, expected) -> None:

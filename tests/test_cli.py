@@ -36,14 +36,13 @@ from crossrisk import (
     evaluate_run,
     fuse_all,
     generate_run,
-    load_scenario,
-    run_config_from_dict,
-    scenario_from_dict,
     sensor_set_from_streams,
 )
 from crossrisk.cli import main
+from crossrisk.config import run_config_from_dict
 from crossrisk.io import SensorCsvError, read_sensor_csv, report_to_dict, write_sensor_csv
 from crossrisk.metrics import EVALUATION_SOURCES
+from crossrisk.simulate import load_scenario, scenario_from_dict
 
 SCENARIO = {
     "duration": 6.0,
@@ -170,8 +169,8 @@ class TestSensorCsv:
         assert set(streams) == {"rsu", "camera_aw", "camera_drone", "tracker"}
         for sensor_id, original in run.raw_streams.items():
             out = streams[sensor_id]
-            present = original.present
-            merged_present = out.present
+            present = ~np.isnan(original.values)
+            merged_present = ~np.isnan(out.values)
             assert merged_present.sum() == present.sum()
             got = out.values[merged_present]
             want = original.values[present]
@@ -263,6 +262,30 @@ class TestCliCommands:
         # tracker danger column stays empty
         body = out.read_text().splitlines()[1:]
         assert all(line.split(",")[4] == "" for line in body)
+
+    def test_a_tracker_after_an_extra_column_is_read(self, tmp_path, sensors_csv, capsys):
+        # the tracker used to be read only as the fifth column: here fuse wrote an empty
+        # g_tracker column and evaluate exited 2 with "no tracker column"
+        moved = tmp_path / "moved.csv"
+        lines = sensors_csv.read_text().splitlines()
+        header, *rows = [line.split(",") for line in lines]
+        cells = [header[:4] + ["frame"] + header[4:]]
+        cells += [row[:4] + [f"f{k}"] + row[4:] for k, row in enumerate(rows)]
+        moved.write_text("".join(",".join(row) + "\n" for row in cells))
+        outputs = []
+        for path in (sensors_csv, moved):
+            fused = tmp_path / f"{path.stem}_fused.csv"
+            assert main(["fuse", str(path), str(fused)]) == 0
+            assert main(["evaluate", "--json", str(path)]) == 0
+            outputs.append((fused.read_bytes(), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[1][1].err == ""
+        # a bad tracker cell in column 6 names its row and the tracker column
+        cells[3][5] = "x"
+        moved.write_text("".join(",".join(row) + "\n" for row in cells))
+        assert main(["ingest", str(moved)]) == 2
+        message = f"error: {moved}: row 4: column 'distance_tracker': not a number: 'x'\n"
+        assert capsys.readouterr().err == message
 
     def test_evaluate_table_and_json(self, sensors_csv, capsys):
         assert main(["evaluate", str(sensors_csv)]) == 0
@@ -437,7 +460,7 @@ class TestCliCommands:
         config.write_text(json.dumps({"smooth_window_rsu": 1, "smooth_window_camera": 1}))
         cases = {
             "jump.csv": ("{:.2f},8e307,{},,2.0", "speed"),
-            "sum.csv": ("{:.2f},1.2e308,2.0,1.2e308,2.0", "values"),
+            "sum.csv": ("{:.2f},1.2e308,2.0,1.2e308,2.0", "distance"),
         }
         for name, (row, series) in cases.items():
             rows = [row.format(k / 100, "" if 20 <= k <= 80 else "2.0") for k in range(100)]
@@ -451,6 +474,23 @@ class TestCliCommands:
                 assert capsys.readouterr().err == (
                     f"error: {recording}: distance_fusion: {series} must not be infinite\n"
                 )
+
+    @pytest.mark.parametrize("column, sensor", [(1, "rsu"), (3, "camera_drone")])
+    def test_overflowing_smoothed_distance_is_data_error(self, tmp_path, capsys, column, sensor):
+        # readings of float64's largest value: at the default windows, 2 range and 5 camera
+        # readings, their trailing sum leaves float64's range
+        cells = ["2.0"] * 4
+        cells[column - 1] = repr(sys.float_info.max)
+        rows = [f"{k / 100:.2f}," + ",".join(cells) for k in range(40)]
+        recording = tmp_path / "max.csv"
+        recording.write_text(SENSOR_HEADER + "\n".join(rows) + "\n")
+        for command in ("ingest", "fuse", "evaluate"):
+            argv = [command, str(recording)] + ([str(tmp_path / "f.csv")] * (command == "fuse"))
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: {recording}: {sensor}: distance must not be infinite\n"
+            )
+        assert not (tmp_path / "f.csv").exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["fuse", str(tmp_path / "nope.csv"), str(tmp_path / "out.csv")]) == 2
@@ -815,8 +855,8 @@ class TestCliCommands:
         raw = generate_run(config, models).raw_streams
         read = read_sensor_csv(recording)
         for sensor_id, stream in raw.items():
-            present = np.count_nonzero(read[sensor_id].present)
-            assert present == np.count_nonzero(stream.present)
+            present = np.count_nonzero(~np.isnan(read[sensor_id].values))
+            assert present == np.count_nonzero(~np.isnan(stream.values))
             # every sample sits on a row whose timestamp prints as its own
             t = read[sensor_id].times[~np.isnan(read[sensor_id].values)]
             np.testing.assert_allclose(t, stream.times[~np.isnan(stream.values)], atol=6e-7)

@@ -10,8 +10,6 @@ import pytest
 from crossrisk import (
     DangerParams,
     Decision,
-    KinematicTrack,
-    UniformGrid,
     accel_transform,
     danger_series,
     danger_value,
@@ -19,6 +17,8 @@ from crossrisk import (
     decisions_from_series,
     speed_transform,
 )
+from crossrisk.kinematics import KinematicTrack
+from crossrisk.timeseries import UniformGrid
 
 from conftest import track_from_distances
 

@@ -5,16 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from crossrisk import (
-    CrossingModel,
-    KinematicTrack,
-    TimeSeries,
-    UniformGrid,
-    differentiate,
-    kinematic_safety_check,
-    numeric_collision_check,
-    time_to_cross,
-)
+from crossrisk import CrossingModel, kinematic_safety_check, numeric_collision_check, time_to_cross
+from crossrisk.kinematics import KinematicTrack, differentiate
+from crossrisk.timeseries import TimeSeries, UniformGrid
 
 from conftest import series_on_grid, track_from_distances
 

@@ -8,7 +8,6 @@ import pytest
 from crossrisk import (
     DangerParams,
     Decision,
-    InsufficientDataError,
     ScenarioConfig,
     danger_series,
     decisions_from_series,
@@ -23,6 +22,7 @@ from crossrisk.metrics import (
     DISTANCE_FUSION,
     EVALUATION_SOURCES,
     VOTING_FUSION,
+    InsufficientDataError,
 )
 
 from conftest import series_on_grid

@@ -15,25 +15,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossrisk import (
-    CAMERA_AW,
-    CAMERA_DRONE,
-    RSU,
     TRACKER,
     DangerParams,
     Decision,
-    InsufficientDataError,
-    TimeSeries,
-    align,
     danger_series,
     decisions_from_series,
-    differentiate,
     evaluate_run,
     evaluate_source,
     fuse_all,
     sensor_set_from_streams,
-    smooth_trailing,
 )
-from crossrisk.metrics import DANGER_FUSION, DISTANCE_FUSION, VOTING_FUSION
+from crossrisk.fusion import CAMERA_AW, CAMERA_DRONE, RSU
+from crossrisk.kinematics import differentiate
+from crossrisk.metrics import DANGER_FUSION, DISTANCE_FUSION, VOTING_FUSION, InsufficientDataError
+from crossrisk.timeseries import TimeSeries, align, smooth_trailing
 
 from conftest import same_bits
 

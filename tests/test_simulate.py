@@ -14,17 +14,17 @@ from crossrisk import (
     RangeSensorModel,
     RunConfig,
     ScenarioConfig,
-    TimeSeries,
-    UniformGrid,
-    align,
+    generate_run,
+    simulate_recording,
+)
+from crossrisk.simulate import (
     bbox_width_px,
     distance_from_bbox,
-    generate_run,
     generate_truth,
     sample_sensor,
     scenario_from_dict,
-    simulate_recording,
 )
+from crossrisk.timeseries import TimeSeries, UniformGrid, align
 
 from conftest import closed_form_truth
 
@@ -202,7 +202,7 @@ class TestSampleSensor:
         out = sample_sensor(self.TRUTH, RangeSensorModel(relative_noise=0.0), 10.0, seed=1)
         expected = np.interp(out.times, self.TRUTH.grid.times(), self.TRUTH.distance)
         assert np.array_equal(out.values, expected)
-        assert out.present.all()
+        assert not np.isnan(out.values).any()
 
     def test_zero_noise_camera_within_range(self):
         model = CameraSensorModel(detection_range=float("inf"), pixel_noise_sigma=0.0)
@@ -214,9 +214,9 @@ class TestSampleSensor:
         model = CameraSensorModel(detection_range=2.5, pixel_noise_sigma=0.0)
         out = sample_sensor(self.TRUTH, model, 30.0, seed=1)
         true_d = np.interp(out.times, self.TRUTH.grid.times(), self.TRUTH.distance)
-        assert np.array_equal(out.present, true_d <= 2.5)
-        assert not out.present[0]  # obstacle starts at 4 m
-        assert out.present[-1]
+        assert np.array_equal(~np.isnan(out.values), true_d <= 2.5)
+        assert np.isnan(out.values[0])  # obstacle starts at 4 m
+        assert not np.isnan(out.values[-1])
 
     def test_seed_determinism(self):
         model = RangeSensorModel(relative_noise=0.05)

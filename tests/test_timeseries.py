@@ -7,8 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from crossrisk import TimeSeries, UniformGrid, align, smooth_trailing
-from crossrisk.timeseries import _interpolate
+from crossrisk.timeseries import TimeSeries, UniformGrid, _interpolate, align, smooth_trailing
 
 from conftest import series_on_grid
 
@@ -26,7 +25,6 @@ class TestTimeSeries:
     def test_nan_marks_missing(self):
         s = TimeSeries([0.0, 1.0, 2.0], [1.0, np.nan, 3.0])
         assert nan_equal(s.values, [1.0, np.nan, 3.0])
-        assert s.present.tolist() == [True, False, True]
 
     def test_rejects_non_monotone_timestamps(self):
         for times in ([0.0, 1.0, 1.0], [2.0, 2.0], [0.0, -0.0], [1.0, 0.0]):
@@ -210,8 +208,8 @@ def retired_resample(series, grid, max_gap):
     """
     target = grid.times()
     out = np.full(grid.count, np.nan)
-    tp = series.times[series.present]
-    vp = series.values[series.present]
+    tp = series.times[~np.isnan(series.values)]
+    vp = series.values[~np.isnan(series.values)]
     if tp.size == 0:
         return out
     near = (tp[:, None] >= target - grid.slack) & (tp[:, None] - target <= grid.slack)
