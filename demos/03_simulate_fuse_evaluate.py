@@ -65,13 +65,15 @@ print("   backward difference of its 30 Hz samples, not the car's exact speed)")
 print()
 print("=== fusion traces ===")
 times = grid.times()
+# how many sensors have a distance at each instant: the fusable rows, before the tracker's
+available = np.count_nonzero(~np.isnan(sensors.distance[: row[TRACKER]]), axis=0)
 for t_probe in (1.0, 2.5, 3.5, 5.5):
     i = int(np.argmin(np.abs(times - t_probe)))
     fused_d = trace.distance_fused.values[i]
     g_dist = trace.scores[row[DISTANCE_FUSION], i]
     g_avg = trace.scores[row[DANGER_FUSION], i]
     print(
-        f"  t = {times[i]:4.2f} s: {trace.available_count[i]} sensors, "
+        f"  t = {times[i]:4.2f} s: {available[i]} sensors, "
         f"fused d = {fused_d:5.2f} m, g(distance fusion) = {g_dist:6.3f}, "
         f"g(danger fusion) = {g_avg:6.3f}, vote = {DECISIONS[vote[i]].value}"
     )

@@ -177,7 +177,7 @@ def _fuse_one(path: str, output: Path, config: RunConfig) -> list[str]:
 
 def cmd_fuse(args: argparse.Namespace, config: RunConfig) -> int:
     out = Path(args.output)
-    targets = [out]
+    targets, parts = [out], []  # one input writes its target directly
     if len(args.inputs) > 1:
         stems = [Path(p).stem for p in args.inputs]
         clashing = [p for p, stem in zip(args.inputs, stems) if stems.count(stem) > 1]
@@ -202,13 +202,12 @@ def cmd_fuse(args: argparse.Namespace, config: RunConfig) -> int:
             )
             return USAGE_ERROR
         out.mkdir(parents=True, exist_ok=True)
-    workers = _workers(len(targets))
-    # this process writes each target itself; a worker writes a part beside the target's real
-    # path, so that the part is renamed over its target, in input order
-    parts = [
-        Path(os.path.realpath(target)).with_name(f".{target.name}.{os.getpid()}.part")
-        for target in targets
-    ] if workers > 1 else []
+        # each trace goes to a part beside its target's real path, and the part is renamed over
+        # the target in input order, whether a worker or this process wrote it
+        parts = [
+            Path(os.path.realpath(target)).with_name(f".{target.name}.{os.getpid()}.part")
+            for target in targets
+        ]
     uncommitted = zip(parts, targets)
 
     def commit(warnings: list[str]) -> None:
@@ -219,8 +218,8 @@ def cmd_fuse(args: argparse.Namespace, config: RunConfig) -> int:
 
     jobs = [(path, output, config) for path, output in zip(args.inputs, parts or targets)]
     try:
-        _run_inputs(_fuse_one, jobs, commit, workers)
-    except OSError as exc:  # a worker's write names its part: name the part's target instead
+        _run_inputs(_fuse_one, jobs, commit, _workers(len(jobs)))
+    except OSError as exc:  # a write names its part: name the part's target instead
         names = {str(part): str(target) for part, target in zip(parts, targets)}
         if str(exc.filename) not in names:
             raise

@@ -98,9 +98,10 @@ class FusionTrace:
     ``sources`` is the sensor set's ids (tracker included), then the three fusions.  Row ``i``
     of the read-only ``(len(sources), grid.count)`` frames ``scores`` and ``codes`` (int8:
     0 SAFE, 1 DANGEROUS, 2 UNKNOWN) is ``sources[i]``'s; the vote's score row is all missing.
-    The other names are read-only row views for ``perfbench/``: ``sensor_g``,
-    ``g_distance_fusion`` and ``g_danger_fusion`` as series, ``decision_*`` as
-    ``tuple[Decision, ...]``.
+    ``distance_fused`` is the fusable sensors' mean distance, ``dangerous_votes`` and
+    ``votes_cast`` the vote's counts per instant.  The other names are read-only row views
+    for ``perfbench/``: ``sensor_g``, ``g_distance_fusion`` and ``g_danger_fusion`` as
+    series, ``decision_*`` as ``tuple[Decision, ...]``.
     """
 
     grid: UniformGrid
@@ -108,7 +109,6 @@ class FusionTrace:
     scores: np.ndarray
     codes: np.ndarray
     distance_fused: TimeSeries
-    available_count: np.ndarray
     dangerous_votes: np.ndarray
     votes_cast: np.ndarray
 
@@ -134,9 +134,9 @@ def sensor_set_from_streams(
     """Turn raw per-sensor distance streams into an aligned sensor set.
 
     Each stream is smoothed with its sensor-specific trailing window (the
-    tracker is left untouched) and put on a grid spanning all streams by
-    :func:`~crossrisk.timeseries._aligned`; the rows make one frame, and one
-    kernel call differentiates every row.
+    tracker's, of 1, leaves it unchanged) and put on a grid spanning all
+    streams by :func:`~crossrisk.timeseries._aligned`; the rows make one
+    frame, and one kernel call differentiates every row.
     """
     windows = {
         RSU: smooth_window_rsu,
@@ -145,10 +145,7 @@ def sensor_set_from_streams(
         TRACKER: 1,
     }
     order = _row_order(streams)
-    smoothed = [
-        streams[s].values if windows[s] == 1 else _trailing_mean(streams[s].values, windows[s])
-        for s in order
-    ]
+    smoothed = [_trailing_mean(streams[s].values, windows[s]) for s in order]
     _reject_infinite(order, distance=smoothed)
     grid, distance = _aligned(
         [(streams[s].times, values) for s, values in zip(order, smoothed)], resample_hz, max_gap
@@ -172,8 +169,8 @@ def _sensor_set_keywords(config: RunConfig) -> dict:
     )
 
 
-def _available_mean(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise mean over non-missing entries (NaN where none) and their count.
+def _available_mean(stacked: np.ndarray) -> np.ndarray:
+    """Per instant (column), the mean of ``stacked``'s non-missing entries; NaN where none.
 
     A sum past float64's range gives an infinite mean, for the caller's check to reject.
     """
@@ -181,7 +178,7 @@ def _available_mean(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     counts = present.sum(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         sums = np.where(present, stacked, 0.0).sum(axis=0)
-        return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan), counts
+        return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
 
 def fuse_all(
@@ -201,7 +198,7 @@ def fuse_all(
     fusable = len(sensors.ids) - (TRACKER in sensors.ids)  # the rows before the tracker's
     if not fusable:
         raise ValueError("no fusable sensors")
-    fused_d, available_count = _available_mean(sensors.distance[:fusable])
+    fused_d = _available_mean(sensors.distance[:fusable])
     fused_speed, fused_accel = _derivatives(fused_d, grid.rate_hz, derivative_smooth_window)
     _reject_infinite(
         (DISTANCE_FUSION,),
@@ -210,7 +207,7 @@ def fuse_all(
     scores = np.empty((len(sensors.ids) + 3, grid.count))  # the sensors', then the fusions' rows
     _danger_values(fused_d, fused_speed, fused_accel, params, out=scores[-3])
     _danger_values(sensors.distance, sensors.speed, sensors.acceleration, params, out=scores[:-3])
-    scores[-2] = _available_mean(scores[:fusable])[0]
+    scores[-2] = _available_mean(scores[:fusable])
     scores[-1] = np.nan  # the vote has no score
     codes = _decision_codes(scores, params.threshold)
 
@@ -224,7 +221,6 @@ def fuse_all(
         scores=_frozen(scores),
         codes=_frozen(codes),
         distance_fused=_unchecked(TimeSeries, times=grid.times(), values=_frozen(fused_d)),
-        available_count=available_count,
         dangerous_votes=dangerous,
         votes_cast=cast,
     )

@@ -184,7 +184,7 @@ def _write_rows(
 
 
 @contextlib.contextmanager
-def _replacing(path: str | Path, mode: str = "wb", **open_kwargs):
+def _replacing(path: str | Path):
     """Open a file beside ``path`` that replaces it once complete; on an exception, remove it.
 
     A target that is no regular file (``/dev/stdout``, a pipe) is opened in place.
@@ -194,14 +194,14 @@ def _replacing(path: str | Path, mode: str = "wb", **open_kwargs):
     except FileNotFoundError:
         old = None
     if old is not None and not stat.S_ISREG(old.st_mode):
-        with open(path, mode, **open_kwargs) as fh:
+        with open(path, "wb") as fh:
             yield fh
         return
     # realpath only for a link: it costs a system call for each part of the path
     directory, name = os.path.split(os.path.realpath(path) if os.path.islink(path) else path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
-        fh = open(tmp, mode, **open_kwargs)  # created as open() creates the target
+        fh = open(tmp, "wb")  # created as open() creates the target
     except OSError as exc:  # name the output, not its temporary file
         raise type(exc)(exc.errno, exc.strerror, str(path)) from None
     try:
@@ -479,11 +479,11 @@ def _melt(path: str | Path, header: Sequence[str], blocks: Iterable, threshold: 
             melted[i].append("".join(rows))
         if ts:
             g_star.append(suffix.join(ts) + suffix)
-    with _replacing(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("timestamp,series,value\n")
-        fh.writelines(text for texts in melted.values() for text in texts)
+    with _replacing(path) as fh:
+        fh.write(b"timestamp,series,value\n")
+        fh.writelines(text.encode() for texts in melted.values() for text in texts)
         if any(header[i].startswith(("g_", "danger")) for i in melted):
-            fh.writelines(g_star)
+            fh.writelines(text.encode() for text in g_star)
 
 
 def _csv_fields(cells: Sequence[str]) -> Sequence[str]:

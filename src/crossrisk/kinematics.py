@@ -88,9 +88,8 @@ def differentiate(
     smoothed with a trailing window (``smooth_window=1`` disables this);
     the causal window keeps the estimate usable at run time.
     """
-    if distance.times is not grid.times() and (  # a series on the grid shares its times
-        len(distance) != grid.count
-        or not np.allclose(distance.times, grid.times(), rtol=0.0, atol=grid.slack)
+    if len(distance) != grid.count or not np.allclose(
+        distance.times, grid.times(), rtol=0.0, atol=grid.slack
     ):
         raise ValueError("distance series does not lie on the track grid")
     speed, accel = _derivatives(distance.values, grid.rate_hz, smooth_window)
@@ -116,19 +115,20 @@ def _derivatives(
         speed[..., 1:] *= rate
         np.subtract(speed[..., 2:], speed[..., 1:-1], out=accel[..., 2:])
         accel[..., 2:] *= rate
-    if smooth_window > 1:  # row by row, in place: a window never reaches into another row
-        count = distance.shape[-1]
-        for row in (*speed.reshape(-1, count), *accel.reshape(-1, count)):
-            _trailing_mean(row, smooth_window, out=row)
+    count = distance.shape[-1]  # row by row, in place: a window never reaches into another row
+    for row in (*speed.reshape(-1, count), *accel.reshape(-1, count)):
+        _trailing_mean(row, smooth_window, out=row)
     return _frozen(speed), _frozen(accel)
 
 
 def _reject_infinite(ids, **frames) -> None:
     """Raise ``<id>: <name> must not be infinite`` for the first row, in ``ids`` order, of the
-    ``frames`` that holds an infinity, as a track would.  Each frame holds one row per id,
-    the rows of any lengths."""
+    ``frames`` that holds an infinity, as a track would.  Each frame holds one row per id: an
+    array, checked whole before its rows are searched, or a list of rows of any lengths,
+    checked row by row."""
+    suspects = [(n, r) for n, r in frames.items() if isinstance(r, list) or np.isinf(r).any()]
     for i, row_id in enumerate(ids):
-        for name, rows in frames.items():
+        for name, rows in suspects:
             if np.isinf(rows[i]).any():
                 raise ValueError(f"{row_id}: {name} must not be infinite")
 

@@ -54,9 +54,7 @@ class EvaluationReport:
 
 def rmse(predicted: TimeSeries, truth: TimeSeries) -> float:
     """Root mean square difference over jointly present instants."""
-    if predicted.times is not truth.times and (  # series on one grid share its times
-        len(predicted) != len(truth) or not np.array_equal(predicted.times, truth.times)
-    ):
+    if len(predicted) != len(truth) or not np.array_equal(predicted.times, truth.times):
         raise ValueError("series must share the same grid")
     error = _rmse(predicted.values, truth.values)
     if error is None:

@@ -214,16 +214,13 @@ def sample_sensor(
     rng = np.random.default_rng(seed)
 
     if isinstance(model, RangeSensorModel):
-        values = true_d.copy()
-        if model.relative_noise > 0:
-            values *= 1.0 + rng.normal(0.0, model.relative_noise / 2.0, times.size)
-        return TimeSeries(times, values)
+        noise = rng.normal(0.0, model.relative_noise / 2.0, times.size)
+        return TimeSeries(times, true_d * (1.0 + noise))
 
     detected = (true_d > 0.0) & (true_d <= model.detection_range)
     widths = np.full(times.size, np.nan)
     widths[detected] = bbox_width_px(true_d[detected], model)
-    if model.pixel_noise_sigma > 0:
-        widths += rng.normal(0.0, model.pixel_noise_sigma, times.size)
+    widths += rng.normal(0.0, model.pixel_noise_sigma, times.size)
     values = np.full(times.size, np.nan)
     with np.errstate(invalid="ignore"):
         measurable = detected & (widths > 0.0)

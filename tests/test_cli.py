@@ -495,6 +495,12 @@ class TestCliCommands:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["fuse", str(tmp_path / "nope.csv"), str(tmp_path / "out.csv")]) == 2
 
+    def test_empty_file_is_data_error(self, tmp_path, capsys):
+        recording = tmp_path / "empty.csv"
+        recording.write_bytes(b"")
+        assert main(["ingest", str(recording)]) == 2
+        assert capsys.readouterr().err == f"error: {recording}: empty file\n"
+
     def test_output_that_is_a_directory_is_data_error(self, tmp_path, sensors_csv, capsys):
         assert main(["fuse", str(sensors_csv), str(tmp_path)]) == 2
         assert main(["simulate", str(GOLDEN_SCENARIO), str(tmp_path)]) == 2
@@ -714,6 +720,25 @@ class TestCliCommands:
                 SCENARIO_TEXT[:-1] + b', "sensors": {"rsu": {}, "rsu": {"relative_noise": 1}}}',
                 "duplicate key 'rsu'",
             ),
+            ("scenario", {"segments": [[0, 0.0], [6, 0.0]]}, "segment durations must be positive"),
+            (
+                "scenario",
+                {"sensors": {"rsu": {"relative_noise": -0.1}}},
+                "sensors.rsu: relative_noise must be non-negative",
+            ),
+            (
+                "scenario",
+                {"sensors": {"camera_aw": {"pixel_noise_sigma": -1}}},
+                "sensors.camera_aw: pixel_noise_sigma must be non-negative",
+            ),
+            (
+                "scenario",
+                {"sensors": {"camera_drone": {"focal_px": 0}}},
+                "sensors.camera_drone: focal_px and object_width_m must be positive",
+            ),
+            ("scenario", b"[1, 2]", "scenario: must be a JSON object"),
+            # an integer too large for a float is no finite number
+            ("config", {"resample_hz": 10**400}, "resample_hz must be a finite number"),
         ],
         ids=[
             "unknown_as_safe-string", "danger-int", "danger-list", "threshold-bool",
@@ -721,6 +746,8 @@ class TestCliCommands:
             "max_gap_s-negative", "config-not-utf8", "scenario-not-utf8",
             "segments-string", "sensor-unknown-key", "danger-unknown-key",
             "config-duplicate", "danger-duplicate", "scenario-duplicate", "sensors-duplicate",
+            "segment-zero", "relative_noise-negative", "pixel_noise_sigma-negative",
+            "focal_px-zero", "scenario-array", "resample_hz-huge-integer",
         ],
     )
     def test_bad_config_or_scenario_names_file_and_field(
@@ -980,6 +1007,23 @@ class TestCliCommands:
         assert rows[1].startswith("0.000000,") and rows[1].endswith(",4.000000")
 
 
+def _pretend(monkeypatch, platform: str) -> None:
+    """Make ``cli._workers`` see ``platform``: ``no-fork``, ``one-cpu`` or ``two-workers``."""
+    if platform == "no-fork":  # e.g. Windows
+        get_context = multiprocessing.get_context
+
+        def no_fork(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    else:  # one CPU as under taskset -c 0, or two whatever this machine has
+        cpus = {"one-cpu": {0}, "two-workers": {0, 1}}[platform]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
 def _drop_tracker(path: Path) -> Path:
     """Delete the last column, the tracker's, of a simulated recording."""
     lines = path.read_text().splitlines()
@@ -1017,20 +1061,9 @@ class TestMultipleInputs:
             monkeypatch.delattr(os, "sched_getaffinity")
             self._check_outputs_of_single_runs(tmp_path, recordings, capsys)
             return
-        if platform == "no-fork":  # e.g. Windows
-            get_context = multiprocessing.get_context
+        _pretend(monkeypatch, platform)
 
-            def no_fork(method=None):
-                if method == "fork":
-                    raise ValueError("cannot find context for 'fork'")
-                return get_context(method)
-
-            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-            monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        else:  # e.g. under taskset -c 0
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-
-        # the inputs run one after another in this process, each writing its own target
+        # the inputs run one after another in this process, each writing its target's part
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was built")
 
@@ -1044,8 +1077,36 @@ class TestMultipleInputs:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(crossrisk.cli, "_fuse_one", recording_fuse_one)
         self._check_outputs_of_single_runs(tmp_path, recordings, capsys)
+        out = Path(os.path.realpath(tmp_path / "fused"))
+        assert outputs[: len(recordings)] == [
+            out / f".{p.stem}_fused.csv.{os.getpid()}.part" for p in recordings
+        ]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("platform", ["two-workers", "no-fork", "one-cpu"])
+    def test_a_target_that_is_no_regular_file_is_replaced(
+        self, tmp_path, recordings, monkeypatch, platform
+    ):
+        # a trace is renamed over its target wherever it ran, so no input writes into a pipe
+        _pretend(monkeypatch, platform)
         out = tmp_path / "fused"
-        assert outputs[: len(recordings)] == [out / f"{p.stem}_fused.csv" for p in recordings]
+        out.mkdir()
+        fifo = out / "b_fused.csv"
+        os.mkfifo(fifo)
+        # a reader of the pipe: a trace written into it ends instead of waiting for one
+        reader = subprocess.Popen(
+            [sys.executable, "-c", "import sys; open(sys.argv[1], 'rb').read()", str(fifo)]
+        )
+        try:
+            assert main(["fuse", *map(str, recordings[:3]), str(out)]) == 0
+        finally:
+            reader.kill()
+            reader.wait()
+        assert fifo.is_file()
+        assert sorted(p.name for p in out.iterdir()) == [f"{c}_fused.csv" for c in "abc"]
+        single = tmp_path / "b_single.csv"
+        assert main(["fuse", str(recordings[1]), str(single)]) == 0
+        assert fifo.read_bytes() == single.read_bytes()
 
     def test_worker_trace_is_moved_over_its_target(self, tmp_path, recordings, monkeypatch):
         # two usable CPUs, whatever this machine has: the traces come from forked workers

@@ -298,20 +298,13 @@ class TestFuseAll:
             trace.distance_fused.values[1:], values[1:], atol=1e-12
         )
 
-    def test_available_count(self):
-        partially = approach(4.0, 0.5, n=20)
-        partially[5:] = np.nan
-        sensors = sensor_set(
-            {
-                RSU: approach(4.0, 0.5, n=20),
-                CAMERA_AW: partially,
-                CAMERA_DRONE: approach(4.0, 0.5, n=20),
-            }
-        )
-        trace = fuse_all(sensors, PARAMS)
-        assert trace.available_count[0] == 3
-        assert trace.available_count[10] == 2
-        assert np.all(trace.available_count >= 1)
+    def test_fused_distance_averages_the_available_sensors(self):
+        rsu, camera_aw, drone = (approach(start, 0.5, n=20) for start in (4.0, 3.0, 2.0))
+        camera_aw[5:] = np.nan
+        sensors = sensor_set({RSU: rsu, CAMERA_AW: camera_aw, CAMERA_DRONE: drone})
+        fused = fuse_all(sensors, PARAMS).distance_fused.values
+        np.testing.assert_allclose(fused[:5], (rsu[:5] + camera_aw[:5] + drone[:5]) / 3)
+        np.testing.assert_allclose(fused[5:], (rsu[5:] + drone[5:]) / 2)
 
     @pytest.mark.parametrize("params", [PARAMS, DangerParams(threshold=0.3)])
     def test_decision_streams_decode_the_fused_scores(self, params):
@@ -376,6 +369,6 @@ def test_outputs_do_not_depend_on_stream_order(seed, detection_range, with_track
     for name in ("scores", "codes"):
         np.testing.assert_array_equal(getattr(shuffled, name), getattr(canonical, name))
     np.testing.assert_array_equal(shuffled.distance_fused.values, canonical.distance_fused.values)
-    for name in ("available_count", "dangerous_votes", "votes_cast"):
+    for name in ("dangerous_votes", "votes_cast"):
         np.testing.assert_array_equal(getattr(shuffled, name), getattr(canonical, name))
     assert _fused_bytes(shuffled) == _fused_bytes(canonical)

@@ -444,10 +444,11 @@ def seed_read_sensor_csv(path):
             raise SensorCsvError(
                 f"header must start with {','.join(required)!r}, got {','.join(header)!r}"
             )
-        has_tracker = len(header) > 4 and header[4].strip() == "distance_tracker"
-        n_cols = 5 if has_tracker else 4
+        # the first tracker column after the required ones, wherever it stands
+        names = [h.strip() for h in header]
+        read = [1, 2, 3] + [k for k in range(4, len(names)) if names[k] == "distance_tracker"][:1]
         times = []
-        columns = [[] for _ in range(n_cols - 1)]
+        columns = [[] for _ in read]
         for row_no, row in enumerate(reader, start=2):
             if not row or all(cell == "" for cell in row):
                 continue
@@ -461,8 +462,8 @@ def seed_read_sensor_csv(path):
             if times and t <= times[-1]:
                 raise SensorCsvError(f"row {row_no}: timestamps must be strictly increasing")
             times.append(t)
-            for i in range(1, n_cols):
-                columns[i - 1].append(parse_float(row[i], row_no, header[i].strip()))
+            for column, k in zip(columns, read):  # the cells read, left to right
+                column.append(parse_float(row[k], row_no, names[k]))
     if not times:
         raise SensorCsvError("file contains no data rows")
     t_arr = np.array(times)
@@ -499,9 +500,10 @@ def recordings(draw):
     header = ["timestamp", "distance_range", "distance_wheelchair", "distance_drone"]
     if draw(st.integers(0, 7)) == 0:
         header[draw(st.integers(0, 3))] = draw(st.sampled_from(["time", "distance_rsu", ""]))
-    if draw(st.booleans()):
-        header.append("distance_tracker")
-    header += [f"extra{i}" for i in range(draw(st.integers(0, 2)))]
+    extras = [f"extra{i}" for i in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):  # a tracker among them, or two
+        extras.insert(draw(st.integers(0, len(extras))), "distance_tracker")
+    header += extras
     if draw(st.booleans()):
         header = [f" {name} " if draw(st.booleans()) else name for name in header]
     lines = [",".join(header)]
@@ -542,6 +544,11 @@ def blocks_of(rows):
 )
 @example(
     text="timestamp,distance_range,distance_wheelchair,distance_drone\n0,\"1\n\",,\n1,x,,\n",
+    block_rows=1,
+)
+@example(  # the tracker after an extra column, a second one after it
+    text="timestamp,distance_range,distance_wheelchair,distance_drone,frame,distance_tracker,"
+    "distance_tracker\n0,1,,,x,2,y\n",
     block_rows=1,
 )
 def test_reader_matches_the_row_parser(text, block_rows):

@@ -146,6 +146,13 @@ class TestCollisionCheck:
     def test_stationary_is_safe(self):
         assert numeric_collision_check(CrossingModel(3.0, 1.0), 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "distance, dt, named", [(1.0, 0.0, "dt"), (0.0, 1e-3, "distance")], ids=["dt", "distance"]
+    )
+    def test_rejects_a_step_or_distance_of_zero(self, distance, dt, named):
+        with pytest.raises(ValueError, match=f"^{named} must be positive$"):
+            numeric_collision_check(CrossingModel(3.0, 1.0), distance, 0.0, 0.0, dt=dt)
+
     def test_agreement_with_analytical_check(self, rng):
         model = CrossingModel(3.0, 1.0)
         for _ in range(300):

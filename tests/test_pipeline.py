@@ -250,7 +250,7 @@ def _outputs(sensors, trace) -> dict[str, np.ndarray]:
     out.update({f"scores:{s}": row for s, row in zip(trace.sources, trace.scores)})
     out.update({f"codes:{s}": row for s, row in zip(trace.sources, trace.codes)})
     out["distance_fused"] = trace.distance_fused.values
-    for name in ("available_count", "dangerous_votes", "votes_cast"):
+    for name in ("dangerous_votes", "votes_cast"):
         out[name] = getattr(trace, name)
     return {name: np.asarray(values, dtype=float) for name, values in out.items()}
 

@@ -36,6 +36,12 @@ class TestTimeSeries:
         """The smallest step above zero is increasing; an empty or one-reading series is too."""
         assert len(TimeSeries(np.array(times), np.zeros(len(times)))) == len(times)
 
+    def test_rejects_two_dimensional_or_unequal_arrays(self):
+        with pytest.raises(ValueError, match="^times and values must be one-dimensional$"):
+            TimeSeries(np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="^times and values must have equal length$"):
+            TimeSeries(np.arange(3.0), np.zeros(2))
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             TimeSeries(np.array([0.0, np.inf]), np.zeros(2))
@@ -337,6 +343,10 @@ class TestResample:
 
 
 class TestAlign:
+    def test_max_gap_of_zero_is_rejected(self):
+        with pytest.raises(ValueError, match="^max_gap must be positive$"):
+            align([series_on_grid([1.0, 2.0])], 2.0, max_gap=0)
+
     def test_single_series_span(self):
         s = series_on_grid([1.0, 2.0, 3.0], rate_hz=2.0)
         grid, aligned = align([s], 2.0)
