@@ -86,13 +86,11 @@ def _named(name: str, step, *args, **kwargs):
 
 
 def _ingest(path: str, config: RunConfig):
-    # a ValueError names the input: with several, it says which one failed
-    streams = _named(path, crio.read_sensor_csv, path)
-    return _named(path, sensor_set_from_streams, streams, **_sensor_set_keywords(config))
+    return sensor_set_from_streams(crio.read_sensor_csv(path), **_sensor_set_keywords(config))
 
 
 def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
-    sensors = _ingest(args.input, config)
+    sensors = _named(args.input, _ingest, args.input, config)
     grid = sensors.grid
     print(f"grid: start={grid.start:.6f} s, rate={grid.rate_hz:g} Hz, points={grid.count}")
     present = np.count_nonzero(~np.isnan(sensors.distance), axis=1)
@@ -129,18 +127,20 @@ def _workers(jobs: int) -> int:
     return min(jobs, cpus)
 
 
-def _run_inputs(work, jobs: list[tuple], commit, workers: int) -> None:
-    """Call ``commit(work(*job))`` for each job, in job order.
+def _run_inputs(work, jobs: list[tuple], commit) -> None:
+    """Call ``commit(work(*job))`` for each job, in job order, on ``_workers(len(jobs))``.
 
-    One worker is this process: the jobs run one after another.  More
-    are forked processes, and ``commit`` still sees their results in job
-    order.  The first exception in job order propagates once the queued
-    jobs are cancelled and the running ones have finished, so no later
-    job is committed.
+    A job's ValueError begins with the job's first item, its input's path.
+    One worker is this process: the jobs run one after another.  More are
+    forked processes, and ``commit`` still sees their results in job order.
+    The first exception in job order propagates once the queued jobs are
+    cancelled and the running ones have finished, so no later job is committed.
     """
+    named = [(job[0], work, *job) for job in jobs]
+    workers = _workers(len(jobs))
     if workers == 1:
-        for job in jobs:
-            commit(work(*job))
+        for job in named:
+            commit(_named(*job))
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -150,17 +150,16 @@ def _run_inputs(work, jobs: list[tuple], commit, workers: int) -> None:
     sys.stderr.flush()
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        for result in pool.map(work, *zip(*jobs)):
+        for result in pool.map(_named, *zip(*named)):
             commit(result)
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _fuse(path: str, sensors, config: RunConfig):
-    """``fuse_all`` at the run's settings; its ValueError (an overflow, say) names ``path``."""
-    return _named(
-        path, fuse_all, sensors, config.danger,
-        derivative_smooth_window=config.smooth_window_derivative,
+def _fuse(sensors, config: RunConfig):
+    """``fuse_all`` at the run's settings."""
+    return fuse_all(
+        sensors, config.danger, derivative_smooth_window=config.smooth_window_derivative
     )
 
 
@@ -170,7 +169,7 @@ def _fuse_one(path: str, output: Path, config: RunConfig) -> list[str]:
     warnings = []
     if TRACKER not in sensors.ids:
         warnings.append(f"warning: {path}: no tracker column; evaluation disabled for this trace")
-    trace = _fuse(path, sensors, config)
+    trace = _fuse(sensors, config)
     crio.write_fused_csv(output, trace, trace.sensor_g)
     return warnings
 
@@ -218,7 +217,7 @@ def cmd_fuse(args: argparse.Namespace, config: RunConfig) -> int:
 
     jobs = [(path, output, config) for path, output in zip(args.inputs, parts or targets)]
     try:
-        _run_inputs(_fuse_one, jobs, commit, _workers(len(jobs)))
+        _run_inputs(_fuse_one, jobs, commit)
     except OSError as exc:  # a write names its part: name the part's target instead
         names = {str(part): str(target) for part, target in zip(parts, targets)}
         if str(exc.filename) not in names:
@@ -240,8 +239,8 @@ def _same_file(a: str | Path, b: str | Path) -> bool:
 def _evaluate_one(path: str, config: RunConfig) -> dict:
     sensors = _ingest(path, config)
     if TRACKER not in sensors.ids:
-        raise crio.SensorCsvError(f"{path}: no tracker column, cannot evaluate")
-    return evaluate_run(_fuse(path, sensors, config), config.unknown_as_safe)
+        raise crio.SensorCsvError("no tracker column, cannot evaluate")
+    return evaluate_run(_fuse(sensors, config), config.unknown_as_safe)
 
 
 def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
@@ -249,7 +248,7 @@ def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
     results = []
     jobs = [(path, config) for path in args.inputs]
     try:
-        _run_inputs(_evaluate_one, jobs, results.append, _workers(len(jobs)))
+        _run_inputs(_evaluate_one, jobs, results.append)
     finally:
         if results and args.json and len(args.inputs) == 1:
             sys.stdout.write(crio.reports_to_json(results[0]))

@@ -88,6 +88,9 @@ class DangerParams:
             raise ValueError("require 0 <= accel_deadband < accel_saturation")
         if self.denominator_floor <= 0:
             raise ValueError("denominator_floor must be positive")
+        # the ratio bounds |score|: at 1e150, fused sums and the RMSE's squares stay finite
+        if (1 + self.accel_weight) / self.denominator_floor > 1e150:
+            raise ValueError("require (1 + accel_weight) / denominator_floor <= 1e150")
 
 
 def speed_transform(closing_speed, params: DangerParams = DangerParams()):

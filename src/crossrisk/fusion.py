@@ -99,9 +99,10 @@ class FusionTrace:
     of the read-only ``(len(sources), grid.count)`` frames ``scores`` and ``codes`` (int8:
     0 SAFE, 1 DANGEROUS, 2 UNKNOWN) is ``sources[i]``'s; the vote's score row is all missing.
     ``distance_fused`` is the fusable sensors' mean distance, ``dangerous_votes`` and
-    ``votes_cast`` the vote's counts per instant.  The other names are read-only row views
-    for ``perfbench/``: ``sensor_g``, ``g_distance_fusion`` and ``g_danger_fusion`` as
-    series, ``decision_*`` as ``tuple[Decision, ...]``.
+    ``votes_cast`` the vote's counts per instant.  ``sensor_g`` maps each sensor to its score
+    row as a series, which the CLI passes to the trace writer.  The other names are read-only
+    row views for ``perfbench/``: ``g_distance_fusion`` and ``g_danger_fusion`` as series,
+    ``decision_*`` as ``tuple[Decision, ...]``.
     """
 
     grid: UniformGrid

@@ -76,8 +76,8 @@ def _report(
     truth: np.ndarray,
     unknown_as_safe: bool,
     error: float | None = None,
-) -> EvaluationReport:
-    """Report over int decision codes, with the source's RMSE ``error``."""
+) -> EvaluationReport | None:
+    """Report over int decision codes, with RMSE ``error``; None if nothing is classified."""
     if len(predicted) != len(truth):
         raise ValueError("decision streams must have equal length")
     # counts[t, p]: instants with truth code t and predicted code p
@@ -90,7 +90,7 @@ def _report(
     evaluated = tp + fp + tn + fn
     excluded = len(truth) - evaluated
     if evaluated == 0:
-        raise InsufficientDataError("no jointly classified points")
+        return None
     return EvaluationReport(
         rmse=error,
         accuracy=(tp + tn) / evaluated,
@@ -115,6 +115,7 @@ def evaluate_source(
     """Full report for one prediction source; ``predicted_g=None`` skips RMSE.
 
     With ``unknown_as_safe`` an UNKNOWN prediction counts as a SAFE call.
+    Raises InsufficientDataError where no instant is jointly classified.
     Kept for ``perfbench/bench_harness.py``, whose independent check of
     ``evaluate --json`` builds its reports here (ROADMAP open item 4).
     """
@@ -123,7 +124,10 @@ def evaluate_source(
     except InsufficientDataError:  # no shared score; classified by unknown_as_safe
         error = None
     predicted, truth = _as_codes(predicted_decisions), _as_codes(truth_decisions)
-    return _report(predicted, truth, unknown_as_safe, error)
+    report = _report(predicted, truth, unknown_as_safe, error)
+    if report is None:
+        raise InsufficientDataError("no jointly classified points")
+    return report
 
 
 def evaluate_run(
@@ -146,12 +150,8 @@ def evaluate_run(
         raise ValueError("trace has no tracker scores to evaluate against")
     row = trace.sources.index(TRACKER)
     truth_g, truth = trace.scores[row], trace.codes[row]
-    reports: dict[str, EvaluationReport | None] = {}
-    for source, g, codes in zip(trace.sources, trace.scores, trace.codes):
-        if source == TRACKER:
-            continue
-        try:
-            reports[source] = _report(codes, truth, unknown_as_safe, _rmse(g, truth_g))
-        except InsufficientDataError:
-            reports[source] = None
-    return reports
+    return {
+        source: _report(codes, truth, unknown_as_safe, _rmse(g, truth_g))
+        for source, g, codes in zip(trace.sources, trace.scores, trace.codes)
+        if source != TRACKER
+    }

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from crossrisk import DangerParams, Decision, ScenarioConfig, danger_series, decide
+from crossrisk import DangerParams, Decision, ScenarioConfig, decide
+from crossrisk.danger import danger_series
 from crossrisk.kinematics import KinematicTrack, differentiate
 from crossrisk.simulate import _truth_state
 from crossrisk.timeseries import TimeSeries, UniformGrid

@@ -19,27 +19,22 @@ import numpy as np
 import pytest
 
 from crossrisk import (
-    CameraSensorModel,
     CrossingModel,
     DangerParams,
     Decision,
-    RangeSensorModel,
-    RunConfig,
     ScenarioConfig,
-    SensorSet,
-    danger_series,
     danger_value,
     decide,
-    decisions_from_series,
-    evaluate_source,
     fuse_all,
-    generate_run,
     kinematic_safety_check,
     numeric_collision_check,
-    rmse,
 )
 from crossrisk.cli import main
-from crossrisk.metrics import InsufficientDataError
+from crossrisk.config import RunConfig
+from crossrisk.danger import danger_series, decisions_from_series
+from crossrisk.fusion import SensorSet
+from crossrisk.metrics import InsufficientDataError, evaluate_source, rmse
+from crossrisk.simulate import CameraSensorModel, RangeSensorModel, generate_run
 
 from conftest import closed_form_truth
 

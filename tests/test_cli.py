@@ -26,23 +26,19 @@ import crossrisk.cli
 import crossrisk.danger
 import crossrisk.io
 import crossrisk.simulate
-from crossrisk import (
-    CameraSensorModel,
-    DangerParams,
-    RangeSensorModel,
-    RunConfig,
-    ScenarioConfig,
-    danger_series,
-    evaluate_run,
-    fuse_all,
-    generate_run,
-    sensor_set_from_streams,
-)
+from crossrisk import DangerParams, ScenarioConfig, evaluate_run, fuse_all, sensor_set_from_streams
 from crossrisk.cli import main
-from crossrisk.config import run_config_from_dict
+from crossrisk.config import RunConfig, run_config_from_dict
+from crossrisk.danger import danger_series
 from crossrisk.io import SensorCsvError, read_sensor_csv, report_to_dict, write_sensor_csv
 from crossrisk.metrics import EVALUATION_SOURCES
-from crossrisk.simulate import load_scenario, scenario_from_dict
+from crossrisk.simulate import (
+    CameraSensorModel,
+    RangeSensorModel,
+    generate_run,
+    load_scenario,
+    scenario_from_dict,
+)
 
 SCENARIO = {
     "duration": 6.0,
@@ -739,6 +735,17 @@ class TestCliCommands:
             ("scenario", b"[1, 2]", "scenario: must be a JSON object"),
             # an integer too large for a float is no finite number
             ("config", {"resample_hz": 10**400}, "resample_hz must be a finite number"),
+            # a score, or the square of two scores' difference, would overflow
+            (
+                "config",
+                {"danger": {"accel_weight": 1e200}},
+                "require (1 + accel_weight) / denominator_floor <= 1e150",
+            ),
+            (
+                "config",
+                {"danger": {"denominator_floor": 1e-310}},
+                "require (1 + accel_weight) / denominator_floor <= 1e150",
+            ),
         ],
         ids=[
             "unknown_as_safe-string", "danger-int", "danger-list", "threshold-bool",
@@ -748,6 +755,7 @@ class TestCliCommands:
             "config-duplicate", "danger-duplicate", "scenario-duplicate", "sensors-duplicate",
             "segment-zero", "relative_noise-negative", "pixel_noise_sigma-negative",
             "focal_px-zero", "scenario-array", "resample_hz-huge-integer",
+            "accel_weight-huge", "denominator_floor-tiny",
         ],
     )
     def test_bad_config_or_scenario_names_file_and_field(
@@ -1256,6 +1264,25 @@ class TestMultipleInputs:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {slow}: row {len(lines)}") and str(fast) not in err
+
+    @pytest.mark.parametrize("platform", ["two-workers", "one-cpu"])
+    def test_a_failing_input_is_named_once(
+        self, tmp_path, recordings, capsys, monkeypatch, platform
+    ):
+        # the fused speed overflows, as in test_overflowing_fused_distance_is_data_error, on a
+        # worker or in this process
+        _pretend(monkeypatch, platform)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"smooth_window_rsu": 1, "smooth_window_camera": 1}))
+        jump = tmp_path / "jump.csv"
+        rows = [f"{k / 100:.2f},8e307,{'' if 20 <= k <= 80 else '2.0'},,2.0" for k in range(100)]
+        jump.write_text(SENSOR_HEADER + "\n".join(rows) + "\n")
+        inputs = [str(recordings[0]), str(jump)]
+        for argv in (["fuse", *inputs, str(tmp_path / "out")], ["evaluate", *inputs]):
+            assert main(["--config", str(config), *argv]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {jump}: distance_fusion: speed must not be infinite\n"
+            )
 
     def test_pending_stdout_is_printed_once(self, recordings):
         # a forked worker flushes the stdio buffers it inherited when it exits

@@ -11,12 +11,11 @@ from crossrisk import (
     DangerParams,
     Decision,
     accel_transform,
-    danger_series,
     danger_value,
     decide,
-    decisions_from_series,
     speed_transform,
 )
+from crossrisk.danger import danger_series, decisions_from_series
 from crossrisk.kinematics import KinematicTrack
 from crossrisk.timeseries import UniformGrid
 
@@ -41,6 +40,10 @@ class TestParams:
             dict(speed_deadband=0.7),
             dict(accel_deadband=10.0),
             dict(denominator_floor=0.0),
+            # scores that could overflow: |g| <= (1 + accel_weight) / denominator_floor
+            dict(accel_weight=1e308),
+            dict(accel_weight=1e200),
+            dict(denominator_floor=1e-310),
         ],
     )
     def test_validation(self, kwargs):

@@ -81,9 +81,8 @@ def test_readme_block(heading, name, check, tmp_path):
     check(path, tmp_path)
 
 
-def test_top_level_exports_what_the_demos_quick_start_and_criteria_import():
+def test_top_level_exports_what_the_demos_and_quick_start_import():
     sources = [path.read_text(encoding="utf-8") for path in DEMOS]
-    sources.append((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
     sources += re.findall(r"```python\n(.*?)```", README, re.S)
     imported = {
         alias.name

@@ -16,15 +16,11 @@ from crossrisk import (
     DangerParams,
     Decision,
     ScenarioConfig,
-    CameraSensorModel,
-    SensorSet,
-    danger_series,
-    decisions_from_series,
     fuse_all,
-    generate_run,
     sensor_set_from_streams,
     simulate_recording,
 )
+from crossrisk.danger import danger_series, decisions_from_series
 from crossrisk.fusion import (
     CAMERA_AW,
     CAMERA_DRONE,
@@ -32,8 +28,10 @@ from crossrisk.fusion import (
     DISTANCE_FUSION,
     RSU,
     VOTING_FUSION,
+    SensorSet,
 )
 from crossrisk.io import write_fused_csv
+from crossrisk.simulate import CameraSensorModel, generate_run
 from crossrisk.timeseries import TimeSeries
 
 from conftest import same_bits, track_from_distances

@@ -21,14 +21,7 @@ from hypothesis import strategies as st
 import crossrisk.io
 import crossrisk.kinematics
 import crossrisk.timeseries
-from crossrisk import (
-    CameraSensorModel,
-    ScenarioConfig,
-    fuse_all,
-    generate_run,
-    sensor_set_from_streams,
-    simulate_recording,
-)
+from crossrisk import ScenarioConfig, fuse_all, sensor_set_from_streams, simulate_recording
 from crossrisk.cli import main
 from crossrisk.fusion import CAMERA_AW, CAMERA_DRONE, RSU, TRACKER
 from crossrisk.io import (
@@ -44,7 +37,7 @@ from crossrisk.io import (
     write_plot_csv,
     write_sensor_csv,
 )
-from crossrisk.simulate import scenario_from_dict
+from crossrisk.simulate import CameraSensorModel, generate_run, scenario_from_dict
 from crossrisk.timeseries import TimeSeries
 
 GOLDEN_SCENARIO = json.loads(
@@ -482,47 +475,64 @@ def read_outcome(reader, path):
     return {k: (s.times.tobytes(), s.values.tobytes()) for k, s in streams.items()}
 
 
-ODD_CELLS = st.sampled_from(
-    ["", " ", " 1.5 ", "\t2", '"2.5"', '""', '" "', '"3\n"', '"1,5"', '"a\r\nb"', "1_0",
-     "nan", "NaN", "-nan", "inf", "-Infinity", "1e400", "oops", "0x10", "--1", "-1",
-     "-0.000000", " -2.5e-3"]
-)
+# cells that read as a number or as missing, and cells that are a fault in a distance column
+ODD_CELLS = [" 1.5 ", "\t2", '"2.5"', '""', '"3\n"', "1_0", "-0.000000"]
+BAD_CELLS = [
+    " ", '" "', '"1,5"', '"a\r\nb"', "nan", "NaN", "-nan", "inf", "-Infinity", "1e400",
+    "oops", "0x10", "--1", "-1", " -2.5e-3",
+]
 NUMBER_CELLS = st.floats(0.0, 500.0).map(lambda v: f"{v:.6f}")
-CELLS = st.one_of(NUMBER_CELLS, NUMBER_CELLS, st.just(""), ODD_CELLS)
+CELLS = st.one_of(NUMBER_CELLS, NUMBER_CELLS, st.just(""), st.sampled_from(ODD_CELLS))
+ROW_KINDS = ["data"] * 6 + ["blank", "all-empty", "long"]
+FAULTS = ["header", "no data rows", "short", "bad cell", "bad time", "time order"]
 
 
 @st.composite
 def recordings(draw):
-    """CSV text of a recording with blank, all-empty, short and long rows and odd cells.
-
-    Some headers misname a required column; some files have no data rows.
+    """CSV text of a valid recording with blank, all-empty and long rows and odd cells, and
+    about half of the time one fault at a drawn row: a misnamed required column, no data
+    rows, a short row, a bad distance or time cell, or a timestamp out of order.
     """
     header = ["timestamp", "distance_range", "distance_wheelchair", "distance_drone"]
-    if draw(st.integers(0, 7)) == 0:
-        header[draw(st.integers(0, 3))] = draw(st.sampled_from(["time", "distance_rsu", ""]))
     extras = [f"extra{i}" for i in range(draw(st.integers(0, 2)))]
     for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):  # a tracker among them, or two
         extras.insert(draw(st.integers(0, len(extras))), "distance_tracker")
     header += extras
+    fault = draw(st.one_of(st.none(), st.sampled_from(FAULTS)))
+    if fault == "header":
+        header[draw(st.integers(0, 3))] = draw(st.sampled_from(["time", "distance_rsu", ""]))
     if draw(st.booleans()):
         header = [f" {name} " if draw(st.booleans()) else name for name in header]
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), max_size=10))
+    if fault == "no data rows":
+        kinds = [kind for kind in kinds if kind not in ("data", "long")]
+    elif "data" not in kinds:
+        kinds.insert(draw(st.integers(0, len(kinds))), "data")
+    rows = [k for k, kind in enumerate(kinds) if kind in ("data", "long")]
+    at = draw(st.sampled_from(rows)) if rows else None
     lines = [",".join(header)]
     t = 0.0
-    for _ in range(draw(st.integers(0, 10))):
-        kind = draw(st.sampled_from(["data"] * 6 + ["blank", "all-empty", "short", "long"]))
+    for k, kind in enumerate(kinds):
         if kind == "blank":
             lines.append("")
             continue
         if kind == "all-empty":
             lines.append("," * draw(st.integers(1, len(header) + 1)))
             continue
-        t += draw(st.sampled_from([0.01, 0.01, 0.01, 0.5, 0.0, -0.01]))
-        time_cell = draw(st.one_of(st.just(f"{t:.6f}"), st.just(f"{t:.6f}"), CELLS))
+        step = draw(st.sampled_from([0.01, 0.01, 0.01, 0.5]))
+        if k == at and fault == "time order":
+            step = draw(st.sampled_from([0.0, -0.01]))
+        t += step
+        time_cell = draw(st.sampled_from(["{:.6f}", "{:.6f}", " {:.6f} ", '"{:.6f}"'])).format(t)
         cells = [time_cell] + [draw(CELLS) for _ in header[1:]]
-        if kind == "short":
-            cells = cells[: draw(st.integers(1, len(header) - 1))]
-        elif kind == "long":
+        if k == at and fault == "bad time":
+            cells[0] = draw(st.sampled_from(["", *BAD_CELLS]))
+        elif k == at and fault == "bad cell":
+            cells[draw(st.integers(1, len(header) - 1))] = draw(st.sampled_from(BAD_CELLS))
+        if kind == "long":
             cells += draw(st.lists(CELLS, min_size=1, max_size=2))
+        if k == at and fault == "short":
+            cells = cells[: draw(st.integers(1, len(header) - 1))]
         lines.append(",".join(cells))
     return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
 

@@ -5,25 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from crossrisk import (
-    DangerParams,
-    Decision,
-    ScenarioConfig,
-    danger_series,
-    decisions_from_series,
-    evaluate_run,
-    evaluate_source,
-    fuse_all,
-    generate_run,
-    rmse,
-)
+from crossrisk import DangerParams, Decision, ScenarioConfig, evaluate_run, fuse_all
+from crossrisk.danger import danger_series, decisions_from_series
 from crossrisk.metrics import (
     DANGER_FUSION,
     DISTANCE_FUSION,
     EVALUATION_SOURCES,
     VOTING_FUSION,
     InsufficientDataError,
+    evaluate_source,
+    rmse,
 )
+from crossrisk.simulate import generate_run
 
 from conftest import series_on_grid
 
@@ -168,7 +161,7 @@ class TestClassificationReport:
 
 class TestEvaluateRun:
     def make_run(self, noiseless: bool):
-        from crossrisk import CameraSensorModel, RangeSensorModel
+        from crossrisk.simulate import CameraSensorModel, RangeSensorModel
 
         scenario = ScenarioConfig(
             duration=4.0, initial_distance=3.0, initial_speed=0.7, seed=5
@@ -217,7 +210,8 @@ class TestEvaluateRun:
         assert reports[VOTING_FUSION] == expected
 
     def test_perfect_sensors_score_perfectly(self):
-        from crossrisk import CameraSensorModel, RangeSensorModel, RunConfig
+        from crossrisk.config import RunConfig
+        from crossrisk.simulate import CameraSensorModel, RangeSensorModel
 
         scenario = ScenarioConfig(
             duration=4.0, initial_distance=3.0, initial_speed=0.7, seed=5
@@ -244,7 +238,7 @@ class TestEvaluateRun:
 
     def test_missing_tracker_rejected(self):
         run = self.make_run(noiseless=False)
-        from crossrisk import SensorSet
+        from crossrisk.fusion import SensorSet
 
         tracks = {k: v for k, v in run.sensors.tracks.items() if k != "tracker"}
         sensors = SensorSet(run.sensors.grid, tracks)

@@ -18,16 +18,20 @@ from crossrisk import (
     TRACKER,
     DangerParams,
     Decision,
-    danger_series,
-    decisions_from_series,
     evaluate_run,
-    evaluate_source,
     fuse_all,
     sensor_set_from_streams,
 )
+from crossrisk.danger import danger_series, decisions_from_series
 from crossrisk.fusion import CAMERA_AW, CAMERA_DRONE, RSU
 from crossrisk.kinematics import differentiate
-from crossrisk.metrics import DANGER_FUSION, DISTANCE_FUSION, VOTING_FUSION, InsufficientDataError
+from crossrisk.metrics import (
+    DANGER_FUSION,
+    DISTANCE_FUSION,
+    VOTING_FUSION,
+    InsufficientDataError,
+    evaluate_source,
+)
 from crossrisk.timeseries import TimeSeries, align, smooth_trailing
 
 from conftest import same_bits

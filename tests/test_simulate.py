@@ -8,18 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossrisk import (
-    CameraSensorModel,
-    Decision,
-    RangeSensorModel,
-    RunConfig,
-    ScenarioConfig,
-    generate_run,
-    simulate_recording,
-)
+from crossrisk import Decision, ScenarioConfig, simulate_recording
+from crossrisk.config import RunConfig
 from crossrisk.simulate import (
+    CameraSensorModel,
+    RangeSensorModel,
     bbox_width_px,
     distance_from_bbox,
+    generate_run,
     generate_truth,
     sample_sensor,
     scenario_from_dict,
@@ -234,7 +230,7 @@ class TestGenerateRun:
 
     def test_zero_noise_decisions_match_truth(self):
         run = generate_run(self.SCENARIO, NOISELESS, run_config=IDENTITY_PIPELINE)
-        from crossrisk import danger_series, decisions_from_series
+        from crossrisk.danger import danger_series, decisions_from_series
 
         params = IDENTITY_PIPELINE.danger
         _, truth_decisions = closed_form_truth(self.SCENARIO, run.sensors.grid, params)
