@@ -66,8 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_DEFAULT_CONFIG = RunConfig()  # frozen: an override below builds a new record
+
+
 def _effective_config(args: argparse.Namespace) -> RunConfig:
-    config = load_run_config(args.config) if args.config else RunConfig()
+    config = load_run_config(args.config) if args.config else _DEFAULT_CONFIG
     if args.threshold is not None:
         config = dataclasses.replace(
             config, danger=dataclasses.replace(config.danger, threshold=args.threshold)

@@ -29,7 +29,7 @@ from .metrics import (
     VOTING_FUSION,
     EvaluationReport,
 )
-from .timeseries import TimeSeries, _frozen
+from .timeseries import TimeSeries, _frozen, _unchecked
 
 
 class SensorCsvError(ValueError):
@@ -224,9 +224,12 @@ def _move_over(source: str | Path, path: str | Path) -> None:
         raise type(exc)(exc.errno, exc.strerror, str(path)) from None
 
 
-def _parse_column(cells: Sequence[str]) -> np.ndarray:
-    """CSV cells as floats, an empty cell as NaN; a ValueError on any cell ``float()`` rejects."""
-    filled = map({"": "nan"}.get, cells, cells) if "" in cells else cells
+def _parse_column(cells: Sequence[str], empty: int) -> np.ndarray:
+    """CSV cells as floats, an empty cell as NaN; a ValueError on any cell ``float()`` rejects.
+
+    ``empty`` is the number of empty cells, which the caller counts once.
+    """
+    filled = map({"": "nan"}.get, cells, cells) if empty else cells
     return np.fromiter(map(float, filled), float, len(cells))
 
 
@@ -253,20 +256,24 @@ def read_sensor_csv(path: str | Path) -> dict[str, TimeSeries]:
         try:
             for block in blocks:
                 for k, cells in enumerate(block[i] for i in read):
-                    parts[k].append(_parse_column(cells))
-                    empty[k] += cells.count("")
+                    n = cells.count("")
+                    parts[k].append(_parse_column(cells, n))
+                    empty[k] += n
         except ValueError:  # a bad cell, a short row or a read error
             pass
         else:
             times, *distances = (np.concatenate(part or [np.empty(0)]) for part in parts)
             rising = times.size and np.isfinite(times).all() and (times[1:] > times[:-1]).all()
-            if rising and all(  # the only NaN are the empty cells
+            # the only non-finite values are the empty cells' NaN: every TimeSeries check has run
+            if rising and all(
                 np.count_nonzero(~np.isfinite(d)) == n and not (d < 0).any()
                 for d, n in zip(distances, empty[1:])
             ):
                 times = _frozen(times)
-                sensors = [s for _, s in SENSOR_COLUMNS]
-                return {s: TimeSeries(times, _frozen(d)) for s, d in zip(sensors, distances)}
+                return {
+                    s: _unchecked(TimeSeries, times=times, values=_frozen(d))
+                    for (_, s), d in zip(SENSOR_COLUMNS, distances)
+                }
     blocks.close()
     _raise_first_fault(path, names)
 
@@ -455,7 +462,9 @@ def _melt(path: str | Path, header: Sequence[str], blocks: Iterable, threshold: 
     values): a column is dropped at its first cell that is neither empty
     nor a ``float()``.  When the input carries danger scores, a constant
     ``g_star`` series at ``threshold`` is appended as the reference line.
-    ``path`` is opened only once ``blocks`` is exhausted.
+    Each column's cells are walked once to drop the empty ones; only the
+    cells written are checked and quoted.  ``path`` is opened only once
+    ``blocks`` is exhausted.
     """
     if not header or header[0] != "timestamp":
         raise SensorCsvError("plot input must have a leading timestamp column")
@@ -466,16 +475,16 @@ def _melt(path: str | Path, header: Sequence[str], blocks: Iterable, threshold: 
     for columns in blocks:
         ts = _csv_fields(columns[0])
         for i in list(melted):
+            cells = columns[i]
+            values = list(filter(None, cells)) if "" in cells else cells
             try:
-                collections.deque(map(float, filter(None, columns[i])), maxlen=0)
+                collections.deque(map(float, values), maxlen=0)
             except ValueError:  # labels are not plottable values
                 del melted[i]
                 continue
-            cells = _csv_fields(columns[i])
-            values = list(filter(None, cells))
             rows = [None, infixes[i], None, "\n"] * len(values)
-            rows[::4] = compress(ts, cells)
-            rows[2::4] = values
+            rows[::4] = ts if values is cells else compress(ts, cells)
+            rows[2::4] = _csv_fields(values)  # no empty cell is quoted, no quoted one is empty
             melted[i].append("".join(rows))
         if ts:
             g_star.append(suffix.join(ts) + suffix)
@@ -512,9 +521,15 @@ def report_rows(reports: Mapping[str, EvaluationReport | None]) -> list[dict]:
     return [report_to_dict(s, reports[s]) for s in EVALUATION_SOURCES if s in reports]
 
 
+# A row is a flat object, so its members take their lines from the item separator: the C
+# encoder gives what ``json.dumps(rows, indent=2)`` gives by the pure-Python one.
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
 def reports_to_json(reports: Mapping[str, EvaluationReport | None]) -> str:
-    """Serialize evaluation rows in canonical source order."""
-    return json.dumps(report_rows(reports), indent=2) + "\n"
+    """Serialize evaluation rows in canonical source order, laid out as ``indent=2``."""
+    rows = [_ROW_ENCODER.encode(row)[1:-1] for row in report_rows(reports)]
+    return "[\n  {\n    " + "\n  },\n  {\n    ".join(rows) + "\n  }\n]\n" if rows else "[]\n"
 
 
 def reports_to_table(reports: Mapping[str, EvaluationReport | None]) -> str:

@@ -337,6 +337,17 @@ class TestCliCommands:
         assert by_source["rsu"]["fp"] == 0  # nothing exceeds an absurd threshold
         assert by_source["rsu"]["tp"] == 0
 
+    def test_an_override_does_not_reach_the_next_call(self, tmp_path, capsys):
+        """Calls without ``--config`` share one default config; an override copies it."""
+        recording = tmp_path / "golden.csv"
+        assert main(["simulate", str(GOLDEN_SCENARIO), str(recording)]) == 0
+        assert main(["--threshold", "0.3", "evaluate", "--json", str(recording)]) == 0
+        overridden = capsys.readouterr().out
+        assert main(["evaluate", "--json", str(recording)]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN_SCENARIO.parent / "report.json").read_text()
+        assert overridden != out
+
     def test_plotdata_long_format(self, tmp_path, sensors_csv):
         fused = tmp_path / "fused.csv"
         assert main(["fuse", str(sensors_csv), str(fused)]) == 0

@@ -33,10 +33,13 @@ from crossrisk.io import (
     plot_csv,
     read_csv_columns,
     read_sensor_csv,
+    report_rows,
+    reports_to_json,
     write_fused_csv,
     write_plot_csv,
     write_sensor_csv,
 )
+from crossrisk.metrics import EVALUATION_SOURCES, EvaluationReport
 from crossrisk.simulate import CameraSensorModel, generate_run, scenario_from_dict
 from crossrisk.timeseries import TimeSeries
 
@@ -574,6 +577,21 @@ def test_reader_matches_the_row_parser(text, block_rows):
     assert got == want
 
 
+
+def test_read_series_are_read_only_and_share_one_times_array(tmp_path):
+    """The reader builds its series unchecked: they are what the checked constructor accepts."""
+    path = tmp_path / "sensors.csv"
+    write_sensor_csv(path, simulate_recording(ScenarioConfig(1.0, 2.0)))
+    streams = read_sensor_csv(path)
+    assert list(streams) == [sensor for _, sensor in SENSOR_COLUMNS]
+    times = streams[RSU].times
+    for series in streams.values():
+        assert series.times is times
+        assert not times.flags.writeable and not series.values.flags.writeable
+        checked = TimeSeries(series.times, series.values)
+        assert checked.times is series.times and checked.values is series.values
+    assert any(np.isnan(series.values).any() for series in streams.values())  # empty cells read
+
 def test_short_row_error_names_its_line(tmp_path):
     path = tmp_path / "sensors.csv"
     path.write_text(
@@ -817,3 +835,32 @@ def test_a_fault_before_a_short_row_in_a_later_block_is_reported_first(tmp_path)
     message = "plot input must have a leading timestamp column"
     assert oracle_plot_of(path, 1.0) == message
     assert plot_outcome(path, tmp_path / "plot.csv", 1.0) == message
+
+
+REPORT_FLOATS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(),  # NaN, the infinities, subnormals, 1e308
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-7, 0.5e-6, 1.5e-6, 1e16, 1.7976931348623157e308]),
+)
+REPORTS = st.builds(
+    EvaluationReport,
+    rmse=st.one_of(st.none(), REPORT_FLOATS),
+    accuracy=REPORT_FLOATS,
+    precision=REPORT_FLOATS,
+    recall=REPORT_FLOATS,
+    tp=st.integers(0, 2**70),
+    fp=st.integers(0, 10**6),
+    tn=st.integers(0, 10**6),
+    fn=st.integers(0, 10**6),
+    evaluated_points=st.integers(0, 10**6),
+    excluded_points=st.integers(0, 10**6),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.dictionaries(st.sampled_from(EVALUATION_SOURCES), st.one_of(st.none(), REPORTS)))
+@example({})
+@example({source: None for source in EVALUATION_SOURCES})  # all insufficient data
+def test_reports_json_matches_the_indenting_encoder(reports):
+    """The C encoder's rows, laid out by hand, read as ``json.dumps(rows, indent=2)``."""
+    assert reports_to_json(reports) == json.dumps(report_rows(reports), indent=2) + "\n"
