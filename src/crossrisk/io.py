@@ -224,13 +224,18 @@ def _move_over(source: str | Path, path: str | Path) -> None:
         raise type(exc)(exc.errno, exc.strerror, str(path)) from None
 
 
-def _parse_column(cells: Sequence[str], empty: int) -> np.ndarray:
-    """CSV cells as floats, an empty cell as NaN; a ValueError on any cell ``float()`` rejects.
+def _parse_column(cells: Sequence[str]) -> tuple[np.ndarray, int]:
+    """CSV cells as floats, an empty cell as NaN, and the number of empty cells.
 
-    ``empty`` is the number of empty cells, which the caller counts once.
+    A column with no empty cell is parsed in one pass; only when that pass
+    raises are the empty cells counted and the column parsed again, with
+    a ValueError on any cell ``float()`` rejects.
     """
-    filled = map({"": "nan"}.get, cells, cells) if empty else cells
-    return np.fromiter(map(float, filled), float, len(cells))
+    try:
+        return np.fromiter(map(float, cells), float, len(cells)), 0
+    except ValueError:  # an empty cell, or a bad one
+        filled = map({"": "nan"}.get, cells, cells)
+        return np.fromiter(map(float, filled), float, len(cells)), cells.count("")
 
 
 def read_sensor_csv(path: str | Path) -> dict[str, TimeSeries]:
@@ -256,8 +261,8 @@ def read_sensor_csv(path: str | Path) -> dict[str, TimeSeries]:
         try:
             for block in blocks:
                 for k, cells in enumerate(block[i] for i in read):
-                    n = cells.count("")
-                    parts[k].append(_parse_column(cells, n))
+                    values, n = _parse_column(cells)
+                    parts[k].append(values)
                     empty[k] += n
         except ValueError:  # a bad cell, a short row or a read error
             pass
@@ -361,7 +366,10 @@ def _blocks(path: str | Path):
     This is the one CSV dialect of the package: a row with no fields, or
     with only empty fields, is blank and skipped; a non-blank row shorter
     than the header is a :class:`SensorCsvError` naming its line; fields
-    beyond the header are ignored.
+    beyond the header are ignored.  A block is transposed first: when it
+    has every header column (no row is short) and its first column holds
+    no empty cell (no row is blank), it is yielded as is; only another
+    block has its blank rows dropped and its row lengths checked.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -372,6 +380,10 @@ def _blocks(path: str | Path):
             yield header
             width = len(header)
             while rows := list(islice(reader, _READ_ROWS)):
+                columns = list(zip(*rows))[:width]
+                if len(columns) == width and not (columns and "" in columns[0]):
+                    yield columns
+                    continue
                 nonblank = list(map(any, rows))
                 if not all(nonblank):
                     rows = list(compress(rows, nonblank))
@@ -462,9 +474,10 @@ def _melt(path: str | Path, header: Sequence[str], blocks: Iterable, threshold: 
     values): a column is dropped at its first cell that is neither empty
     nor a ``float()``.  When the input carries danger scores, a constant
     ``g_star`` series at ``threshold`` is appended as the reference line.
-    Each column's cells are walked once to drop the empty ones; only the
-    cells written are checked and quoted.  ``path`` is opened only once
-    ``blocks`` is exhausted.
+    Each column's cells are checked in one pass; only when that pass fails
+    are the empty cells dropped and the rest checked again.  Only the cells
+    written are quoted.  ``path`` is opened only once ``blocks`` is
+    exhausted.
     """
     if not header or header[0] != "timestamp":
         raise SensorCsvError("plot input must have a leading timestamp column")
@@ -475,13 +488,16 @@ def _melt(path: str | Path, header: Sequence[str], blocks: Iterable, threshold: 
     for columns in blocks:
         ts = _csv_fields(columns[0])
         for i in list(melted):
-            cells = columns[i]
-            values = list(filter(None, cells)) if "" in cells else cells
+            values = cells = columns[i]
             try:
-                collections.deque(map(float, values), maxlen=0)
-            except ValueError:  # labels are not plottable values
-                del melted[i]
-                continue
+                collections.deque(map(float, cells), maxlen=0)
+            except ValueError:  # an empty cell, or a label
+                values = list(filter(None, cells))
+                try:
+                    collections.deque(map(float, values), maxlen=0)
+                except ValueError:  # labels are not plottable values
+                    del melted[i]
+                    continue
             rows = [None, infixes[i], None, "\n"] * len(values)
             rows[::4] = ts if values is cells else compress(ts, cells)
             rows[2::4] = _csv_fields(values)  # no empty cell is quoted, no quoted one is empty

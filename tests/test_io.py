@@ -746,6 +746,7 @@ def wide_traces(draw):
 @example(text="timestamp,g_a\n0,1\n1,x\n", block_rows=1, threshold=0.5)
 @example(text="time,g_a\n0,1\n1,2\n1\n", block_rows=1, threshold=0.5)
 @example(text='timestamp,"g_\ra"\n0.0,1\n"1.0\r",2\n', block_rows=1, threshold=0.5)
+@example(text="timestamp,g_a\n0,1\n,2\n1,3\n", block_rows=1, threshold=0.5)  # empty first cell
 def test_plot_csv_matches_the_row_oracle(text, block_rows, threshold):
     """Same bytes or the same message as melting the whole trace one row at a time.
 
@@ -816,6 +817,38 @@ def test_blank_rows_around_a_block_edge_keep_row_numbers(tmp_path):
     assert read_outcome(seed_read_sensor_csv, path) == message
     assert read_outcome(read_sensor_csv, path) == message
 
+
+@pytest.mark.parametrize(
+    "case", ["empty first cell", "blank and all-empty", "last cell of a block", "no header fields"]
+)
+def test_blocks_off_the_dense_path_at_the_real_block_size(tmp_path, case):
+    """A block whose first column has an empty cell, or that lacks a header column, keeps the
+    row rules after dense blocks: compared with the row oracles as a recording and a plot input.
+    """
+    rows = [f"{i / 1000:.6f},{i % 7}.5,{i % 5},{i % 3}" for i in range(3 * READ_ROWS)]
+    late, fault, head = READ_ROWS + 20, None, ""
+    if case == "empty first cell":  # a plot melts it with an empty timestamp; a recording fails
+        rows[late] = ",1.5,2,3"
+        fault = f"row {late + 2}: timestamp must not be empty"
+    elif case == "blank and all-empty":  # in two blocks: the all-empty row is full width
+        rows.insert(late, "")
+        rows.insert(late + READ_ROWS, ",,,")
+    elif case == "last cell of a block":  # the only empty cell of a dense column
+        rows[2 * READ_ROWS - 1] = rows[2 * READ_ROWS - 1].rpartition(",")[0] + ","
+    else:
+        head, fault = "\n", "header must start with "
+    recording, trace = tmp_path / "sensors.csv", tmp_path / "trace.csv"
+    recording.write_text(head + ",".join(crossrisk.io._REQUIRED_HEADER) + "\n" + "\n".join(rows))
+    trace.write_text(head + "timestamp,g_a,b,danger_c\n" + "\n".join(rows))
+    got = read_outcome(read_sensor_csv, recording)
+    assert got == read_outcome(seed_read_sensor_csv, recording)
+    assert isinstance(got, dict) if fault is None else got.startswith(fault)
+    if head:  # the row oracle indexes the header
+        assert read_csv_columns(trace) == ([], [])
+        message = "plot input must have a leading timestamp column"
+        assert plot_outcome(trace, tmp_path / "plot.csv", 1.0) == message
+    else:
+        assert plot_outcome(trace, tmp_path / "plot.csv", 1.0) == oracle_plot_of(trace, 1.0)
 
 
 def test_a_fault_before_a_short_row_in_a_later_block_is_reported_first(tmp_path):
