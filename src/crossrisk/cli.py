@@ -19,7 +19,9 @@ import numpy as np
 
 from . import io as crio
 from .config import RunConfig, load_run_config
-from .fusion import TRACKER, _sensor_set_keywords, fuse_all, sensor_set_from_streams
+from .fusion import TRACKER, _distance_frame, _sensor_set_keywords, fuse_all
+from .fusion import sensor_set_from_streams
+from .kinematics import _reject_infinite_derivatives
 from .metrics import evaluate_run
 from .simulate import load_scenario, simulate_recording
 
@@ -92,14 +94,21 @@ def _ingest(path: str, config: RunConfig):
     return sensor_set_from_streams(crio.read_sensor_csv(path), **_sensor_set_keywords(config))
 
 
+def _ingest_frame(path: str, config: RunConfig):
+    """``_ingest``'s grid, ids and distance frame, raising its every data error."""
+    keywords = _sensor_set_keywords(config)
+    window = keywords.pop("derivative_smooth_window")
+    grid, ids, distance = _distance_frame(crio.read_sensor_csv(path), **keywords)
+    _reject_infinite_derivatives(ids, distance, grid.rate_hz, window)
+    return grid, ids, distance
+
+
 def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
-    sensors = _named(args.input, _ingest, args.input, config)
-    grid = sensors.grid
+    grid, ids, distance = _named(args.input, _ingest_frame, args.input, config)
     print(f"grid: start={grid.start:.6f} s, rate={grid.rate_hz:g} Hz, points={grid.count}")
-    present = np.count_nonzero(~np.isnan(sensors.distance), axis=1)
-    for sensor_id, count in zip(sensors.ids, present):
+    for sensor_id, count in zip(ids, np.count_nonzero(~np.isnan(distance), axis=1)):
         print(f"{sensor_id:<13} {count}/{grid.count} distance points present")
-    if TRACKER not in sensors.ids:
+    if TRACKER not in ids:
         print("tracker: absent (fuse-only recording)", file=sys.stderr)
     return 0
 

@@ -124,6 +124,21 @@ class FusionTrace:
     decision_vote = property(lambda self: _as_decisions(self.codes[-1]))
 
 
+def _distance_frame(streams, resample_hz, smooth_window_rsu, smooth_window_camera, max_gap):
+    """Each stream smoothed with its sensor's trailing window (the tracker's, of 1, leaves it
+    unchanged) and put on one grid spanning all streams by :func:`~crossrisk.timeseries._aligned`:
+    the grid, the ids in row order and the read-only ``(len(ids), grid.count)`` distance frame."""
+    camera = smooth_window_camera
+    windows = {RSU: smooth_window_rsu, CAMERA_AW: camera, CAMERA_DRONE: camera, TRACKER: 1}
+    order = _row_order(streams)
+    smoothed = [_trailing_mean(streams[s].values, windows[s]) for s in order]
+    _reject_infinite(order, distance=smoothed)
+    grid, distance = _aligned(
+        [(streams[s].times, values) for s, values in zip(order, smoothed)], resample_hz, max_gap
+    )
+    return grid, order, distance
+
+
 def sensor_set_from_streams(
     streams: Mapping[str, TimeSeries],
     resample_hz: float = 100.0,
@@ -132,25 +147,10 @@ def sensor_set_from_streams(
     derivative_smooth_window: int = 5,
     max_gap: float = 0.5,
 ) -> SensorSet:
-    """Turn raw per-sensor distance streams into an aligned sensor set.
-
-    Each stream is smoothed with its sensor-specific trailing window (the
-    tracker's, of 1, leaves it unchanged) and put on a grid spanning all
-    streams by :func:`~crossrisk.timeseries._aligned`; the rows make one
-    frame, and one kernel call differentiates every row.
-    """
-    windows = {
-        RSU: smooth_window_rsu,
-        CAMERA_AW: smooth_window_camera,
-        CAMERA_DRONE: smooth_window_camera,
-        TRACKER: 1,
-    }
-    order = _row_order(streams)
-    smoothed = [_trailing_mean(streams[s].values, windows[s]) for s in order]
-    _reject_infinite(order, distance=smoothed)
-    grid, distance = _aligned(
-        [(streams[s].times, values) for s, values in zip(order, smoothed)], resample_hz, max_gap
-    )
+    """Turn raw per-sensor distance streams into an aligned sensor set: one kernel call
+    differentiates every row of their :func:`_distance_frame`."""
+    frame = _distance_frame(streams, resample_hz, smooth_window_rsu, smooth_window_camera, max_gap)
+    grid, order, distance = frame
     speed, acceleration = _derivatives(distance, grid.rate_hz, derivative_smooth_window)
     _reject_infinite(order, speed=speed, acceleration=acceleration)
     return _unchecked(

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import crossrisk.cli
 import crossrisk.danger
 import crossrisk.io
+import crossrisk.kinematics
 import crossrisk.simulate
 from crossrisk import DangerParams, ScenarioConfig, evaluate_run, fuse_all, sensor_set_from_streams
 from crossrisk.cli import main
@@ -232,6 +233,25 @@ class TestCliCommands:
         assert main(["ingest", str(sensors_csv)]) == 0
         out = capsys.readouterr().out
         assert "grid:" in out and "rsu" in out and "tracker" in out
+
+    def test_ingest_bridges_a_dropout_of_exactly_max_gap(self, tmp_path, capsys):
+        # camera_aw reads at 1.000000 and 1.500000, max_gap_s (0.5) apart: the instants between
+        # are interpolated.  camera_drone reads at 1.000000 and 1.510000: its 50 instants between
+        # stay empty
+        rows = [
+            f"{k / 100:.6f},2.0,{'' if 100 < k < 150 else 2.0},{'' if 100 < k < 151 else 2.0},2.0"
+            for k in range(201)
+        ]
+        recording = tmp_path / "dropout.csv"
+        recording.write_text(SENSOR_HEADER + "\n".join(rows) + "\n")
+        assert main(["ingest", str(recording)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "grid: start=0.000000 s, rate=100 Hz, points=201",
+            "rsu           201/201 distance points present",
+            "camera_aw     201/201 distance points present",
+            "camera_drone  151/201 distance points present",
+            "tracker       201/201 distance points present",
+        ]
 
     def test_fuse_rerun_byte_identical(self, tmp_path, sensors_csv):
         a, b = tmp_path / "a_fused.csv", tmp_path / "b_fused.csv"
@@ -459,6 +479,26 @@ class TestCliCommands:
             assert (proc.returncode, proc.stderr) == (0, ""), argv
         saturated = 1 / np.log(3.5e307 - 1.08e306 * 2 + 0.6)  # speed term 1, acceleration 0
         assert out.read_text().splitlines()[3].split(",")[2] == f"{saturated:.6f}"
+
+    def test_ingest_differentiates_only_distances_past_the_range_bound(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 1e305 m is past the bound at the default settings, 2.0 m is not; the derivatives of
+        # both are 0, and the summaries are the same
+        calls = []
+        kernel = crossrisk.kinematics._derivatives
+        monkeypatch.setattr(
+            crossrisk.kinematics, "_derivatives", lambda *a: calls.append(a) or kernel(*a)
+        )
+        outputs = []
+        for distance in ("1e305", "2.0"):
+            rows = [f"{k / 100:.2f}" + f",{distance}" * 4 for k in range(40)]
+            recording = tmp_path / f"flat_{distance}.csv"
+            recording.write_text(SENSOR_HEADER + "\n".join(rows) + "\n")
+            assert main(["ingest", str(recording)]) == 0
+            outputs.append((capsys.readouterr(), len(calls)))
+        assert outputs[0][0] == outputs[1][0]
+        assert [count for _, count in outputs] == [1, 1]
 
     def test_overflowing_fused_distance_is_data_error(self, tmp_path, capsys):
         # no sensor overflows alone, but where the camera drops out the fused distance jumps

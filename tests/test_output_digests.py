@@ -1,12 +1,12 @@
 """Byte identity of the CLI's outputs on simulated scenarios, pinned as sha256 digests.
 
 ``golden/output_digests.json`` holds the digests of the recording that
-``simulate`` writes, the trace that ``fuse`` writes, the plot rows that
-``plotdata`` melts that trace into and what ``evaluate --json`` prints,
-for three scenarios at seeds 1-5, and of ``plotdata`` of the golden
-trace ``golden/fused.csv``.  A change that means to alter these bytes
-regenerates the file with ``PYTHONPATH=src python
-tests/test_output_digests.py`` and says why.
+``simulate`` writes, what ``ingest`` prints about it, the trace that
+``fuse`` writes, the plot rows that ``plotdata`` melts that trace into
+and what ``evaluate --json`` prints, for three scenarios at seeds 1-5,
+and of ``plotdata`` of the golden trace ``golden/fused.csv``.  A change
+that means to alter these bytes regenerates the file with
+``PYTHONPATH=src python tests/test_output_digests.py`` and says why.
 """
 
 from __future__ import annotations
@@ -42,14 +42,17 @@ def output_digests() -> dict[str, str]:
                 files = [Path(tmp) / f"{name}_{seed}{suffix}" for suffix in
                          (".json", ".csv", "_fused.csv", "_plot.csv")]
                 files[0].write_text(json.dumps({**scenario, "seed": seed}))
-                stdout = io.StringIO()
-                with contextlib.redirect_stdout(stdout):
+                summary, stdout = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(summary):
                     assert main(["simulate", str(files[0]), str(files[1])]) == 0
+                    assert main(["ingest", str(files[1])]) == 0
+                with contextlib.redirect_stdout(stdout):
                     assert main(["fuse", str(files[1]), str(files[2])]) == 0
                     assert main(["plotdata", str(files[2]), str(files[3])]) == 0
                     assert main(["evaluate", "--json", str(files[1])]) == 0
                 outputs = {
                     "simulate": files[1].read_bytes(),
+                    "ingest": summary.getvalue().encode(),
                     "fuse": files[2].read_bytes(),
                     "plotdata": files[3].read_bytes(),
                     "evaluate --json": stdout.getvalue().encode(),
