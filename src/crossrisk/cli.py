@@ -19,11 +19,11 @@ import numpy as np
 
 from . import io as crio
 from .config import RunConfig, load_run_config
-from .fusion import TRACKER, _distance_frame, _sensor_set_keywords, fuse_all
+from .fusion import TRACKER, _sensor_set, _sensor_set_keywords, _smoothed_rows, fuse_all
 from .fusion import sensor_set_from_streams
-from .kinematics import _reject_infinite_derivatives
 from .metrics import evaluate_run
 from .simulate import load_scenario, simulate_recording
+from .timeseries import _aligned, _placed, _spanning_grid
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -94,19 +94,33 @@ def _ingest(path: str, config: RunConfig):
     return sensor_set_from_streams(crio.read_sensor_csv(path), **_sensor_set_keywords(config))
 
 
-def _ingest_frame(path: str, config: RunConfig):
-    """``_ingest``'s grid, ids and distance frame, raising its every data error."""
-    keywords = _sensor_set_keywords(config)
-    window = keywords.pop("derivative_smooth_window")
-    grid, ids, distance = _distance_frame(crio.read_sensor_csv(path), **keywords)
-    _reject_infinite_derivatives(ids, distance, grid.rate_hz, window)
-    return grid, ids, distance
+def _ingest_counts(streams, config: RunConfig):
+    """The grid, the ids and each sensor's count of present grid distances in ``_ingest``'s
+    sensor set of ``streams``, raising its every data error in its order; while R, the largest
+    present |smoothed reading|, is below a bound, with no reading put on the grid.  A grid
+    distance is a reading or a convex combination of two, whose four roundings stay below a
+    factor 2: |grid distance| ≤ D = 2R.  With r the rate and w the derivative window, a
+    difference of distances is at most 2D, a speed 2Dr, a difference of speeds 4Dr, an
+    acceleration 4Dr² and a trailing sum w times that; rounding, along at most
+    ``MAX_GRID_POINTS`` + 4 steps and in the bound's divisions, adds less than a factor 2.  So
+    nothing overflows while 16wR·max(1, r²) ≤ DBL_MAX, and each count is of the instants that
+    a sensor's readings snap or bridge; past it the frame is built, differentiated and checked.
+    """
+    ids, rows = _smoothed_rows(streams, config.smooth_window_rsu, config.smooth_window_camera)
+    window, rate, max_gap = config.smooth_window_derivative, config.resample_hz, config.max_gap_s
+    largest = max((np.fmax.reduce(np.abs(values), initial=0.0) for _, values in rows), default=0)
+    if largest <= sys.float_info.max / 16 / window / max(1.0, rate) / max(1.0, rate):
+        grid = _spanning_grid(rows, rate, max_gap)
+        return grid, ids, [_placed(times, values, grid, max_gap) for times, values in rows]
+    sensors = _sensor_set(ids, *_aligned(rows, rate, max_gap), window)
+    return sensors.grid, ids, np.count_nonzero(~np.isnan(sensors.distance), axis=1)
 
 
 def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
-    grid, ids, distance = _named(args.input, _ingest_frame, args.input, config)
+    streams = _named(args.input, crio.read_sensor_csv, args.input)
+    grid, ids, counts = _named(args.input, _ingest_counts, streams, config)
     print(f"grid: start={grid.start:.6f} s, rate={grid.rate_hz:g} Hz, points={grid.count}")
-    for sensor_id, count in zip(ids, np.count_nonzero(~np.isnan(distance), axis=1)):
+    for sensor_id, count in zip(ids, counts):
         print(f"{sensor_id:<13} {count}/{grid.count} distance points present")
     if TRACKER not in ids:
         print("tracker: absent (fuse-only recording)", file=sys.stderr)

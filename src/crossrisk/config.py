@@ -8,6 +8,7 @@ half-second bridging limit for sensor gaps.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -35,6 +36,8 @@ class RunConfig:
         for name in ("smooth_window_rsu", "smooth_window_camera", "smooth_window_derivative"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+            if getattr(self, name) > sys.float_info.max:  # past it, a mean cannot divide by it
+                raise ValueError(f"{name} must be at most {sys.float_info.max:g}")
         if self.max_gap_s <= 0:
             raise ValueError("max_gap_s must be positive")
 

@@ -124,19 +124,27 @@ class FusionTrace:
     decision_vote = property(lambda self: _as_decisions(self.codes[-1]))
 
 
-def _distance_frame(streams, resample_hz, smooth_window_rsu, smooth_window_camera, max_gap):
+def _smoothed_rows(streams, smooth_window_rsu, smooth_window_camera):
     """Each stream smoothed with its sensor's trailing window (the tracker's, of 1, leaves it
-    unchanged) and put on one grid spanning all streams by :func:`~crossrisk.timeseries._aligned`:
-    the grid, the ids in row order and the read-only ``(len(ids), grid.count)`` distance frame."""
+    unchanged): the ids in row order and one ``(times, smoothed values)`` pair per id.  A
+    smoothed reading past float64's range is a ValueError naming its sensor."""
     camera = smooth_window_camera
     windows = {RSU: smooth_window_rsu, CAMERA_AW: camera, CAMERA_DRONE: camera, TRACKER: 1}
     order = _row_order(streams)
     smoothed = [_trailing_mean(streams[s].values, windows[s]) for s in order]
     _reject_infinite(order, distance=smoothed)
-    grid, distance = _aligned(
-        [(streams[s].times, values) for s, values in zip(order, smoothed)], resample_hz, max_gap
+    return order, [(streams[s].times, values) for s, values in zip(order, smoothed)]
+
+
+def _sensor_set(order, grid, distance, derivative_smooth_window) -> SensorSet:
+    """The sensors ``order``'s distance frame on ``grid`` as a sensor set: one kernel call
+    differentiates every row, and an infinite derivative is a ValueError naming its sensor."""
+    speed, acceleration = _derivatives(distance, grid.rate_hz, derivative_smooth_window)
+    _reject_infinite(order, speed=speed, acceleration=acceleration)
+    return _unchecked(
+        SensorSet, grid=grid, ids=order, distance=distance,
+        speed=speed, acceleration=acceleration,
     )
-    return grid, order, distance
 
 
 def sensor_set_from_streams(
@@ -147,16 +155,10 @@ def sensor_set_from_streams(
     derivative_smooth_window: int = 5,
     max_gap: float = 0.5,
 ) -> SensorSet:
-    """Turn raw per-sensor distance streams into an aligned sensor set: one kernel call
-    differentiates every row of their :func:`_distance_frame`."""
-    frame = _distance_frame(streams, resample_hz, smooth_window_rsu, smooth_window_camera, max_gap)
-    grid, order, distance = frame
-    speed, acceleration = _derivatives(distance, grid.rate_hz, derivative_smooth_window)
-    _reject_infinite(order, speed=speed, acceleration=acceleration)
-    return _unchecked(
-        SensorSet, grid=grid, ids=order, distance=distance,
-        speed=speed, acceleration=acceleration,
-    )
+    """Raw per-sensor distance streams as an aligned sensor set: their :func:`_smoothed_rows`
+    on one grid (:func:`~crossrisk.timeseries._aligned`), differentiated by :func:`_sensor_set`."""
+    order, rows = _smoothed_rows(streams, smooth_window_rsu, smooth_window_camera)
+    return _sensor_set(order, *_aligned(rows, resample_hz, max_gap), derivative_smooth_window)
 
 
 def _sensor_set_keywords(config: RunConfig) -> dict:

@@ -133,22 +133,6 @@ def _reject_infinite(ids, **frames) -> None:
                 raise ValueError(f"{row_id}: {name} must not be infinite")
 
 
-def _reject_infinite_derivatives(ids, distance: np.ndarray, rate: float, smooth_window: int):
-    """Raise what :func:`_reject_infinite` raises for the ``ids``' :func:`_derivatives` of the
-    frame ``distance``, but differentiate only past a bound.  With D the largest present
-    |distance|, r the rate and w the window, a difference is at most 2D, a speed 2Dr, a
-    difference of speeds 4Dr, an acceleration 4Dr² and a trailing sum w times that, so no value
-    passes B = 4wD·max(1, r²).  Rounding, along at most ``MAX_GRID_POINTS`` + 4 steps and in
-    the bound's divisions, adds less than a factor 2: nothing overflows while B ≤ DBL_MAX / 2.
-    An all-missing frame (D is NaN) passes."""
-    if smooth_window < 1:
-        raise ValueError("smooth_window must be at least 1")
-    largest = np.fmax.reduce(np.abs(distance), axis=None)
-    if largest > np.finfo(float).max / 8 / smooth_window / max(1.0, rate) / max(1.0, rate):
-        speed, acceleration = _derivatives(distance, rate, smooth_window)
-        _reject_infinite(ids, speed=speed, acceleration=acceleration)
-
-
 def time_to_cross(model: CrossingModel) -> float:
     """Seconds the crossing agent needs to traverse the road width."""
     return model.road_width / model.crossing_speed

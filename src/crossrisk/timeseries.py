@@ -5,7 +5,9 @@ timestamps plus one value per timestamp, where NaN marks an instant at
 which the sensor produced nothing.  Raw sensor streams and score series
 use this type; smoothing and alignment consume and return it.  A
 :class:`UniformGrid` owns the instants of the shared grid, and every
-series aligned onto it shares the grid's one timestamp array.
+series aligned onto it shares the grid's one timestamp array.  The grid
+rule, which instants a channel's readings fill, lives in one placement
+step: interpolation computes values from it, and ``ingest`` counts it.
 
 Operations are pure: they never mutate their inputs and are safe to call
 concurrently.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -221,10 +224,12 @@ def _trailing_mean(values: np.ndarray, window: int, out: np.ndarray | None = Non
 
     The means go to ``out`` (a new array by default), whose missing instants must already be
     NaN; ``out=values`` smooths in place.  A sum past float64's range gives an infinite mean,
-    for the caller's check to reject.
+    for the caller's check to reject.  A window too large to be a float64 is a ValueError.
     """
     if window < 1:
         raise ValueError(f"window must be at least 1, got {window!r}")
+    if window > sys.float_info.max:
+        raise ValueError(f"window must be at most {sys.float_info.max:g}")
     missing = np.isnan(values)
     gaps = missing.nonzero()[0]
     # with only a leading run missing (a derivative's first instants), the readings are a slice
@@ -244,51 +249,58 @@ def _trailing_mean(values: np.ndarray, window: int, out: np.ndarray | None = Non
     return out
 
 
-def _interpolate(
-    times: np.ndarray, values: np.ndarray, grid: UniformGrid, max_gap: float
-) -> np.ndarray:
-    """The readings ``values`` at ``times`` linearly interpolated onto ``grid``, a new array.
-
-    An instant ``t`` takes the first present reading ``tp`` with
-    ``tp >= fl(t - slack)`` when ``fl(tp - t) <= slack``, where ``slack`` is
-    the grid's and ``fl`` rounds each difference to float64 once.  Any
-    other instant interpolates its two neighbouring present readings if
-    they are at most ``max_gap`` seconds apart and is missing otherwise
-    (so before the first and after the last); outages are not bridged.
-
-    The result is allocated last, above the temporaries, so the allocator keeps their
-    memory for the next call rather than handing it back to the system.
-    """
+def _placement(times: np.ndarray, values: np.ndarray, grid: UniformGrid, max_gap: float):
+    """Where the readings ``values`` at ``times`` fall on ``grid``, by the grid rule: an instant
+    ``t`` snaps to the first present reading ``tp`` with ``tp >= fl(t - slack)`` when
+    ``fl(tp - t) <= slack`` (``slack`` the grid's, ``fl`` rounding each difference once).  Any
+    other instant is bridged when its two neighbouring present readings are at most ``max_gap``
+    seconds apart, and is missing otherwise (so before the first and after the last reading).
+    Returns the present-reading mask, then per instant its neighbours' indices ``lo`` and ``hi``
+    among the present readings padded with a sentinel at each end, the left one's time, the gap
+    between them, and the snap and bridge masks."""
     target = grid.times()
     present = ~np.isnan(values)
-    # missing sentinel readings at -inf and +inf: every instant lies between two readings
+    # sentinel readings at -inf and +inf: every instant lies between two readings
     tp = np.concatenate(([-np.inf], times[present], [np.inf]))
-    vp = np.concatenate(([np.nan], values[present], [np.nan]))
     # tp[hi], the first reading at most the slack early: the instant's own, or its right neighbour.
     # hi counts the readings more than the slack early; each reading is placed on the grid once
     hi = np.bincount(
         np.searchsorted(target - grid.slack, tp, side="right"), minlength=grid.count + 1
     )[:-1].cumsum()
     lo = hi - 1
-    t_lo, t_hi, v_hi = tp[lo], tp[hi], vp[hi]
+    t_lo, t_hi = tp[lo], tp[hi]
     gap = t_hi - t_lo
-    with np.errstate(invalid="ignore"):  # inf / inf next to the -inf sentinel: missing
-        w = (target - t_lo) / gap
-        val = vp[lo] * (1.0 - w) + v_hi * w
-    return np.where(t_hi - target <= grid.slack, v_hi, np.where(gap <= max_gap, val, np.nan))
+    return present, lo, hi, t_lo, gap, t_hi - target <= grid.slack, gap <= max_gap
 
 
-def _aligned(
-    rows: Sequence[tuple[np.ndarray, np.ndarray]], rate_hz: float, max_gap: float
-) -> tuple[UniformGrid, np.ndarray]:
-    """Channels given as ``(times, values)`` pairs on one grid: the grid and a read-only frame.
+def _placed(times: np.ndarray, values: np.ndarray, grid: UniformGrid, max_gap: float) -> int:
+    """How many instants :func:`_placement` snaps or bridges: those :func:`_interpolate` fills."""
+    *_, snapped, bridged = _placement(times, values, grid, max_gap)
+    return np.count_nonzero(snapped | bridged)
 
-    The grid (:meth:`UniformGrid.spanning`, naming the rate ``resample_hz``) spans the union
-    of the channels' time ranges.  Row ``i`` of the ``(len(rows), grid.count)`` frame is
-    channel ``i`` placed by :func:`_interpolate`, missing outside its own coverage (an empty
-    channel's row is all missing).  No timestamp in any channel, or an interpolated value past
-    float64's range, is a ValueError.
+
+def _interpolate(
+    times: np.ndarray, values: np.ndarray, grid: UniformGrid, max_gap: float
+) -> np.ndarray:
+    """The readings ``values`` at ``times`` on ``grid``, a new array, by the grid rule, which
+    lives in :func:`_placement`: a snapped instant takes its reading, a bridged one
+    interpolates its neighbours linearly, and any other is missing.
+
+    The result is allocated last, above the temporaries, so the allocator keeps their
+    memory for the next call rather than handing it back to the system.
     """
+    present, lo, hi, t_lo, gap, snapped, bridged = _placement(times, values, grid, max_gap)
+    vp = np.concatenate(([np.nan], values[present], [np.nan]))
+    v_hi = vp[hi]
+    with np.errstate(invalid="ignore"):  # inf / inf next to the -inf sentinel: missing
+        w = (grid.times() - t_lo) / gap
+        val = vp[lo] * (1.0 - w) + v_hi * w
+    return np.where(snapped, v_hi, np.where(bridged, val, np.nan))
+
+
+def _spanning_grid(rows, rate_hz: float, max_gap: float) -> UniformGrid:
+    """The grid at ``rate_hz`` (:meth:`UniformGrid.spanning`, naming it ``resample_hz``) over
+    the ``(times, values)`` channels' time ranges; no timestamp, or ``max_gap <= 0``, raises."""
     spans = [(times[0], times[-1]) for times, _ in rows if times.size]
     if not spans:
         raise ValueError("nothing to align")
@@ -296,6 +308,16 @@ def _aligned(
     grid = UniformGrid.spanning(min(starts), max(ends), rate_hz, "resample_hz")
     if max_gap <= 0:
         raise ValueError("max_gap must be positive")
+    return grid
+
+
+def _aligned(
+    rows: Sequence[tuple[np.ndarray, np.ndarray]], rate_hz: float, max_gap: float
+) -> tuple[UniformGrid, np.ndarray]:
+    """Channels given as ``(times, values)`` pairs on their :func:`_spanning_grid`: the grid and
+    a read-only ``(len(rows), grid.count)`` frame whose row ``i`` is channel ``i`` placed by
+    :func:`_interpolate` (an empty channel's is all missing).  An infinite value raises."""
+    grid = _spanning_grid(rows, rate_hz, max_gap)
     # rows are stacked, not interpolated into a frame made first: a kernel's temporaries freed
     # at the top of the heap went back to the system after each row, 4 500 page faults
     # more per cold 60 001-point ingest

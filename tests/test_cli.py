@@ -16,23 +16,28 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crossrisk.cli
 import crossrisk.danger
+import crossrisk.fusion
 import crossrisk.io
-import crossrisk.kinematics
 import crossrisk.simulate
+import crossrisk.timeseries
 from crossrisk import DangerParams, ScenarioConfig, evaluate_run, fuse_all, sensor_set_from_streams
-from crossrisk.cli import main
+from crossrisk.cli import _ingest_counts, main
 from crossrisk.config import RunConfig, run_config_from_dict
 from crossrisk.danger import danger_series
+from crossrisk.fusion import _sensor_set_keywords, _smoothed_rows
+from crossrisk.kinematics import _derivatives
 from crossrisk.io import SensorCsvError, read_sensor_csv, report_to_dict, write_sensor_csv
 from crossrisk.metrics import EVALUATION_SOURCES
+from crossrisk.timeseries import TimeSeries, _aligned
 from crossrisk.simulate import (
     CameraSensorModel,
     RangeSensorModel,
@@ -483,22 +488,66 @@ class TestCliCommands:
     def test_ingest_differentiates_only_distances_past_the_range_bound(
         self, tmp_path, capsys, monkeypatch
     ):
-        # 1e305 m is past the bound at the default settings, 2.0 m is not; the derivatives of
-        # both are 0, and the summaries are the same
+        # 1e305 m is past the bound at the default settings, 1e302 m and 2.0 m are not; the
+        # derivatives of all three are 0, and the summaries are the same.  Below the bound no
+        # reading is interpolated onto the grid
         calls = []
-        kernel = crossrisk.kinematics._derivatives
-        monkeypatch.setattr(
-            crossrisk.kinematics, "_derivatives", lambda *a: calls.append(a) or kernel(*a)
-        )
+        kernels = ((crossrisk.fusion, "_derivatives"), (crossrisk.timeseries, "_interpolate"))
+        for module, name in kernels:
+            kernel = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, kernel=kernel, name=name: calls.append(name) or kernel(*a)
+            )
         outputs = []
-        for distance in ("1e305", "2.0"):
+        for distance in ("1e305", "1e302", "2.0"):
             rows = [f"{k / 100:.2f}" + f",{distance}" * 4 for k in range(40)]
             recording = tmp_path / f"flat_{distance}.csv"
             recording.write_text(SENSOR_HEADER + "\n".join(rows) + "\n")
             assert main(["ingest", str(recording)]) == 0
-            outputs.append((capsys.readouterr(), len(calls)))
-        assert outputs[0][0] == outputs[1][0]
-        assert [count for _, count in outputs] == [1, 1]
+            outputs.append(capsys.readouterr())
+            outputs.append(sorted(calls))
+            calls.clear()
+        assert outputs[0] == outputs[2] == outputs[4]
+        assert outputs[1::2] == [["_derivatives"] + ["_interpolate"] * 4, [], []]
+
+    def test_ingest_snaps_a_reading_within_the_slack_of_an_instant(self, tmp_path, capsys):
+        # on an epoch-time grid, camera_aw reads at every 60th instant plus four float64 spacings,
+        # exactly the grid's slack: 0.6 s apart, more than max_gap_s, so none is bridged, and each
+        # reading fills its own instant alone
+        grid = crossrisk.timeseries.UniformGrid(1.729e9, 100.0, 301)
+        assert grid.slack == 4 * np.spacing(grid.end)
+        rows = []
+        for k, t in enumerate(grid.times().tolist()):
+            rows.append(f"{t!r},2.0,,,2.0")
+            if k % 60 == 0:
+                rows.append(f"{float(t + grid.slack)!r},,2.0,,")
+        recording = tmp_path / "epoch.csv"
+        recording.write_text(SENSOR_HEADER + "\n".join(rows) + "\n")
+        assert main(["ingest", str(recording)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "grid: start=1729000000.000000 s, rate=100 Hz, points=301",
+            "rsu           301/301 distance points present",
+            "camera_aw     6/301 distance points present",
+            "camera_drone  0/301 distance points present",
+            "tracker       301/301 distance points present",
+        ]
+
+    @pytest.mark.parametrize(
+        "field", ["smooth_window_rsu", "smooth_window_camera", "smooth_window_derivative"]
+    )
+    def test_a_window_past_float64s_range_is_a_data_error(
+        self, tmp_path, sensors_csv, capsys, field
+    ):
+        # it used to end in an OverflowError traceback (exit 3) where a mean divides by it
+        config = tmp_path / "window.json"
+        config.write_text(f'{{"{field}": {10**400}}}')
+        for argv in (["ingest"], ["fuse"], ["evaluate"]):
+            argv += [str(sensors_csv)] + [str(tmp_path / "f.csv")] * (argv == ["fuse"])
+            assert main(["--config", str(config), *argv]) == 2
+            assert capsys.readouterr() == (
+                "", f"error: {config}: config: {field} must be at most 1.79769e+308\n"
+            )
+        assert not (tmp_path / "f.csv").exists()
 
     def test_overflowing_fused_distance_is_data_error(self, tmp_path, capsys):
         # no sensor overflows alone, but where the camera drops out the fused distance jumps
@@ -1393,3 +1442,101 @@ def test_repeated_runs_give_identical_bytes(seed, camera_range):
 
     with tempfile.TemporaryDirectory() as tmp:
         assert run(Path(tmp) / "first") == run(Path(tmp) / "second")
+
+
+FLOAT_MAX = sys.float_info.max
+
+
+@st.composite
+def streams_and_configs(draw):
+    """Streams of 1-4 sensors on 1-40 instants at the run's rate, on its ticks or off them, and
+    the run's settings.  The largest |reading| R is anything up to 1e308, the bound
+    MAX / (16 w max(1, r)²) of the derivative window w and the rate r, a float next to it or
+    the bound times a power of 2.  The rows alternate 0 and R, alternate -R and R, step from 0
+    to R or hold values of either sign up to R, and some have missing readings."""
+    ids = ("rsu", "camera_aw", "camera_drone", "tracker")[: draw(st.integers(1, 4))]
+    count = draw(st.integers(1, 40))
+    rate = draw(st.floats(1e-3, 1e5) | st.sampled_from([1e-3, 0.1, 1.0, 100.0, 1e5]))
+    window = draw(st.integers(1, 200) | st.just(1))
+    config = RunConfig(
+        resample_hz=rate,
+        smooth_window_rsu=draw(st.sampled_from([1, 2])),
+        smooth_window_camera=draw(st.sampled_from([1, 5])),
+        smooth_window_derivative=window,
+        max_gap_s=draw(st.sampled_from([0.5, 1.5 / rate, 1e300])),
+    )
+    limit = FLOAT_MAX / (16 * window * max(1.0, rate) ** 2)
+    largest = draw(
+        st.floats(0, 1e308)
+        | st.sampled_from([limit, np.nextafter(limit, 0), np.nextafter(limit, np.inf)])
+        | st.integers(-4, 40).map(lambda e: min(limit * 2.0**e, FLOAT_MAX))
+    )
+    cells = len(ids) * count
+    k = np.arange(count)
+    pattern = draw(st.sampled_from(["alternating", "signed", "step", "any"]))
+    if pattern == "alternating":
+        frame = np.tile(np.where(k % 2, largest, 0.0), (len(ids), 1))
+    elif pattern == "signed":
+        frame = np.tile(np.where(k % 2, largest, -largest), (len(ids), 1))
+    elif pattern == "step":
+        frame = np.tile(np.where(k >= draw(st.integers(0, count)), largest, 0.0), (len(ids), 1))
+    else:
+        scales = draw(st.lists(st.floats(-1.0, 1.0), min_size=cells, max_size=cells))
+        frame = largest * np.reshape(scales, (len(ids), count))
+    if draw(st.booleans()):
+        missing = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+        frame[np.reshape(missing, frame.shape)] = np.nan
+    offsets = st.lists(st.floats(0.0, 0.9), min_size=count, max_size=count)
+    offsets = draw(offsets | st.just([0.0] * count))
+    times = (k + np.array(offsets)) / rate
+    return {s: TimeSeries(times, row) for s, row in zip(ids, frame)}, config
+
+
+def _outcome(step, *args, **kwargs):
+    """``step(*args, **kwargs)``, or the message of the ValueError it raises."""
+    try:
+        return step(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(streams_and_configs())
+# a rate above 4w: a bound short of one factor of the rate would let this acceleration overflow
+@example(
+    ({"rsu": TimeSeries(np.arange(4) / 100, [-1e305, 1e305, -1e305, 1e305])},
+     RunConfig(smooth_window_rsu=1, smooth_window_derivative=1))
+)
+def test_ingest_builds_the_frame_whenever_a_derivative_may_overflow(case):
+    """``ingest``'s counts are the sensor set's, or it raises what the sensor set raises; and it
+    skips building the distance frame only when neither the frame nor its derivatives hold an
+    infinity."""
+    streams, config = case
+    expected = _outcome(sensor_set_from_streams, streams, **_sensor_set_keywords(config))
+    with mock.patch.object(crossrisk.cli, "_aligned", wraps=_aligned) as built:
+        got = _outcome(_ingest_counts, streams, config)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        present = np.count_nonzero(~np.isnan(expected.distance), axis=1)
+        assert got[:2] == (expected.grid, expected.ids)
+        assert list(got[2]) == present.tolist()
+    if not built.called and not isinstance(got, str):
+        _, rows = _smoothed_rows(streams, config.smooth_window_rsu, config.smooth_window_camera)
+        _, frame = _aligned(rows, config.resample_hz, config.max_gap_s)
+        derivatives = _derivatives(frame, config.resample_hz, config.smooth_window_derivative)
+        assert not any(np.isinf(values).any() for values in (frame, *derivatives))
+
+
+def test_ingest_counts_keep_the_sensor_sets_errors():
+    times = np.arange(5) / 100
+    streams = {s: TimeSeries(times, np.full(5, np.nan)) for s in ("rsu", "tracker")}
+    config = RunConfig(smooth_window_rsu=1)
+    grid, ids, counts = _ingest_counts(streams, config)  # all missing: passes
+    assert (grid.count, ids, list(counts)) == (5, ("rsu", "tracker"), [0, 0])
+    streams["rsu"] = TimeSeries(times, [np.nan, 0.0, 1e308, np.nan, np.nan])
+    with pytest.raises(ValueError, match="^rsu: speed must not be infinite$"):
+        _ingest_counts(streams, config)
+    with pytest.raises(ValueError, match="^nothing to align$"):
+        _ingest_counts({"rsu": TimeSeries([], [])}, config)

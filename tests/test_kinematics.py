@@ -2,22 +2,11 @@
 
 from __future__ import annotations
 
-from unittest import mock
-
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from crossrisk import CrossingModel, kinematic_safety_check, numeric_collision_check, time_to_cross
-from crossrisk import kinematics
-from crossrisk.kinematics import (
-    KinematicTrack,
-    _derivatives,
-    _reject_infinite,
-    _reject_infinite_derivatives,
-    differentiate,
-)
+from crossrisk.kinematics import KinematicTrack, differentiate
 from crossrisk.timeseries import TimeSeries, UniformGrid
 
 from conftest import series_on_grid, track_from_distances
@@ -100,77 +89,6 @@ class TestKinematicTrack:
         for wrong in (np.zeros(4), np.zeros((1, 5))):
             with pytest.raises(ValueError, match=f"^{field} has shape"):
                 KinematicTrack(track.grid, **{**fields, field: wrong})
-
-
-FLOAT_MAX = float(np.finfo(float).max)
-
-
-@st.composite
-def distance_frames(draw):
-    """Ids, a sensors × time frame, a rate and a derivative window.  The largest |distance| D is
-    anything up to 1e308, the bound MAX / (8 w max(1, r)²), a float next to it or the bound
-    times a power of 2.  The rows alternate 0 and D, alternate -D and D, step from 0 to D or
-    hold values of either sign up to D, and some frames have missing cells."""
-    rows, count = draw(st.integers(1, 4)), draw(st.integers(1, 40))
-    rate = draw(st.floats(1e-3, 1e5) | st.sampled_from([1e-3, 0.1, 1.0, 100.0, 1e5]))
-    window = draw(st.integers(1, 200) | st.just(1))
-    limit = FLOAT_MAX / (8 * window * max(1.0, rate) ** 2)
-    largest = draw(
-        st.floats(0, 1e308)
-        | st.sampled_from([limit, np.nextafter(limit, 0), np.nextafter(limit, np.inf)])
-        | st.integers(-4, 40).map(lambda e: min(limit * 2.0**e, FLOAT_MAX))
-    )
-    cells = rows * count
-    k = np.arange(count)
-    pattern = draw(st.sampled_from(["alternating", "signed", "step", "any"]))
-    if pattern == "alternating":
-        frame = np.tile(np.where(k % 2, largest, 0.0), (rows, 1))
-    elif pattern == "signed":
-        frame = np.tile(np.where(k % 2, largest, -largest), (rows, 1))
-    elif pattern == "step":
-        frame = np.tile(np.where(k >= draw(st.integers(0, count)), largest, 0.0), (rows, 1))
-    else:
-        scales = draw(st.lists(st.floats(-1.0, 1.0), min_size=cells, max_size=cells))
-        frame = largest * np.reshape(scales, (rows, count))
-    if draw(st.booleans()):
-        missing = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
-        frame[np.reshape(missing, frame.shape)] = np.nan
-    return ("rsu", "camera_aw", "camera_drone", "tracker")[:rows], frame, rate, window
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=400, deadline=None)
-@given(distance_frames())
-@example((("rsu",), np.array([[-1e308, 1e308]]), 1e-3, 1))  # 2D overflows, though 2Dr would not
-def test_the_derivative_check_differentiates_whenever_a_derivative_may_overflow(frame):
-    """The check raises what the kernel and ``_reject_infinite`` raise for a frame, and it skips
-    differentiating only frames whose derivatives hold no infinity."""
-    ids, distance, rate, window = frame
-    speed, acceleration = _derivatives(distance, rate, window)
-    try:
-        _reject_infinite(ids, speed=speed, acceleration=acceleration)
-        expected = None
-    except ValueError as exc:
-        expected = str(exc)
-    with mock.patch.object(kinematics, "_derivatives", wraps=_derivatives) as kernel:
-        try:
-            _reject_infinite_derivatives(ids, distance, rate, window)
-            got = None
-        except ValueError as exc:
-            got = str(exc)
-    assert got == expected
-    if not kernel.called:
-        assert not (np.isinf(speed).any() or np.isinf(acceleration).any())
-
-
-def test_the_derivative_check_keeps_the_kernels_errors():
-    frame = np.full((2, 5), np.nan)
-    with pytest.raises(ValueError, match="smooth_window must be at least 1"):
-        _reject_infinite_derivatives(("rsu", "tracker"), frame, 100.0, 0)
-    _reject_infinite_derivatives(("rsu", "tracker"), frame, 100.0, 1)  # all missing: passes
-    frame[0, 1:3] = [0.0, 1e308]
-    with pytest.raises(ValueError, match="^rsu: speed must not be infinite$"):
-        _reject_infinite_derivatives(("rsu", "tracker"), frame, 100.0, 1)
 
 
 class TestCrossingModel:

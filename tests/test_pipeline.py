@@ -240,6 +240,15 @@ def test_a_window_below_one_is_rejected_naming_no_sensor(window, value):
         sensor_set_from_streams(STEADY, **{window: value})
 
 
+@pytest.mark.parametrize("window", WINDOW_ERRORS)
+def test_a_window_past_float64s_range_is_rejected(window):
+    # a mean used to divide by it and end in an OverflowError
+    with pytest.raises(ValueError, match=r"^window must be at most 1\.79769e\+308$"):
+        sensor_set_from_streams(STEADY, **{window: 10**400})
+    with pytest.raises(ValueError, match=r"^window must be at most 1\.79769e\+308$"):
+        smooth_trailing(STEADY[RSU], 10**400)
+
+
 @pytest.mark.parametrize("value", [0, -4])
 def test_a_fused_derivative_window_below_one_is_rejected_naming_no_fusion(value):
     sensors = sensor_set_from_streams(STEADY)

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from crossrisk.timeseries import TimeSeries, UniformGrid, _interpolate, align, smooth_trailing
+from crossrisk.timeseries import (
+    TimeSeries,
+    UniformGrid,
+    _aligned,
+    _interpolate,
+    _placed,
+    _slack,
+    align,
+    smooth_trailing,
+)
 
 from conftest import series_on_grid
 
@@ -264,6 +273,50 @@ _TIE_GRID = UniformGrid(1.6e9, 100.0, 4)
 _TIE = _TIE_GRID.times()[1] - _TIE_GRID.slack
 _TIE_READINGS = [_TIE_GRID.start, _TIE, _TIE_GRID.end]
 _EARLY_READINGS = [_TIE_GRID.start, np.nextafter(_TIE, -np.inf), _TIE_GRID.end]
+
+
+@st.composite
+def recordings(draw):
+    """Channels as ``(times, values)`` rows on ticks of a step from an ordinary or an epoch-time
+    start, a rate of one or two instants per tick and a ``max_gap`` of whole ticks, which
+    dyadic steps make some gaps equal exactly.  A channel may start late or be empty; each
+    reading lies on its tick, a few float64 spacings or exactly the grid's slack from it, or
+    anywhere within half a step (a camera's own clock); some readings are missing."""
+    start = draw(st.sampled_from([0.0, 3.25, 1.729e9, 1.6e9 + 0.3]))
+    step = draw(st.sampled_from([0.25, 0.0625, 0.01]))
+    ticks = start + np.arange(draw(st.integers(1, 60))) * step
+    rate = draw(st.sampled_from([1, 2])) / step
+    slack = _slack(rate, max(abs(ticks[0]), abs(ticks[-1])))
+    rows = []
+    for first in [0] + draw(st.lists(st.integers(0, ticks.size), min_size=0, max_size=3)):
+        own = ticks[first:]
+        moves = draw(st.lists(
+            st.tuples(
+                st.sampled_from(["tick", "spacings", "slack", "clock"]),
+                st.integers(-4, 4),
+                st.floats(-0.45, 0.45),
+            ),
+            min_size=own.size, max_size=own.size,
+        ))
+        times = np.array([
+            {"tick": t, "spacings": t + n * np.spacing(t), "slack": t + np.sign(n) * slack,
+             "clock": t + f * step}[kind]
+            for t, (kind, n, f) in zip(own, moves)
+        ])
+        missing = draw(st.lists(st.booleans(), min_size=own.size, max_size=own.size))
+        rows.append((times, np.where(missing, np.nan, 2.0 + np.arange(own.size) % 5)))
+    return rows, rate, draw(st.sampled_from([1, 2, 3])) * step
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=recordings())
+def test_placement_counts_the_aligned_frames_present_values(case):
+    """Each channel's count of snapped and bridged instants is its row's count of present
+    values in the aligned frame."""
+    rows, rate, max_gap = case
+    grid, frame = _aligned(rows, rate, max_gap)
+    for (times, values), row in zip(rows, frame):
+        assert _placed(times, values, grid, max_gap) == np.count_nonzero(~np.isnan(row))
 
 
 class TestResample:
